@@ -21,6 +21,8 @@ from .problem import (
     clip_to_bounds,
     equality_violation,
     evaluate,
+    evaluate_rows,
+    integer_index,
     make_rng,
     total_violation,
 )
@@ -29,14 +31,15 @@ from .penalty import (
     NegativeMode,
     PenaltyConfig,
     PseudoObjective,
+    phi_values,
     pseudo_objective,
     sapf_penalty,
     score,
     select_branch,
 )
 from .cohort import (
-    Candidate,
     CiConfig,
+    Cohort,
     RunResult,
     TraceRecord,
     check_saturation,
@@ -51,11 +54,9 @@ from .cohort import (
     shrink_interval,
 )
 from .collision import (
-    BodyRole,
     CboConfig,
     CollisionState,
     CorSchedule,
-    Role,
     assign_roles,
     ci_sapf_cbo_run,
     collision_state,

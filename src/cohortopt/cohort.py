@@ -7,6 +7,12 @@ contracts its own interval by the reduction factor around the followed
 peer's position, resamples inside it and adopts the best resample
 unconditionally. The run stops on saturation of the incumbent trace or
 when a budget is exhausted.
+
+The cohort is held as arrays (:class:`Cohort`) and each step works on
+all candidates at once; only the problem's own callables run once per
+point. Seeded runs are bit-identical to running the same steps candidate
+by candidate with the scalar references kept here and in ``penalty``
+and ``problem`` (``roulette_select``, ``score``, ``evaluate``).
 """
 
 from __future__ import annotations
@@ -17,28 +23,34 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .penalty import PenaltyConfig, score
+from .penalty import PenaltyConfig, phi_values
+from .penalty import score  # noqa: F401  scalar reference, rebound by perfbench's tracer
 from .problem import (
     EvalCounter,
-    Evaluation,
     ProblemDefinition,
     RandomSource,
     Vector,
     clip_to_bounds,
-    evaluate,
+    evaluate_rows,
     make_rng,
 )
+from .problem import evaluate  # noqa: F401  scalar reference, rebound by perfbench's tracer
 
 
 @dataclass
-class Candidate:
-    """A cohort member: position, sampling interval, evaluation, phi."""
+class Cohort:
+    """The C candidates as arrays; row i of each array is candidate i.
 
-    position: Vector
-    interval_lower: Vector
-    interval_upper: Vector
-    evaluation: Evaluation
-    phi: float
+    ``interval_lower``/``interval_upper`` are ci-sapf's per-variable
+    sampling intervals; the collision engine leaves them at the bounds.
+    """
+
+    positions: np.ndarray        # (C, D), clipped and rounded
+    objective: np.ndarray        # (C,)
+    violation: np.ndarray        # (C,)
+    phi: np.ndarray              # (C,)
+    interval_lower: np.ndarray   # (C, D)
+    interval_upper: np.ndarray   # (C, D)
 
 
 @dataclass(frozen=True)
@@ -69,8 +81,10 @@ class CiConfig:
             raise ValueError("saturation_tolerance must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
+    """The incumbent after one learning attempt; a run keeps one per attempt."""
+
     attempt: int
     best_phi: float
     best_f: float
@@ -90,13 +104,47 @@ class RunResult:
     trace: list[TraceRecord]
 
 
-def incumbent_key(evaluation: Evaluation, phi: float):
-    """Ordering for the run incumbent: feasible beats infeasible, then
-    lower objective among feasible, lower violation among infeasible,
-    ties broken by lower phi."""
-    if evaluation.feasible:
-        return (0, evaluation.objective, phi)
-    return (1, evaluation.violation, phi)
+def incumbent_key(objective: float, violation: float, phi: float) -> tuple:
+    """Ordering for the run incumbent: feasible (zero violation) beats
+    infeasible, then lower objective among feasible, lower violation among
+    infeasible, ties broken by lower phi."""
+    if violation == 0.0:
+        return (0, objective, phi)
+    return (1, violation, phi)
+
+
+def rank_order(cohort: Cohort) -> np.ndarray:
+    """Cohort indices sorted ascending under :func:`incumbent_key`; the
+    sort is stable, so equal keys keep index order."""
+    infeasible = cohort.violation != 0.0
+    return np.lexsort((cohort.phi,
+                       np.where(infeasible, cohort.violation, cohort.objective),
+                       infeasible))
+
+
+@dataclass(frozen=True)
+class Incumbent:
+    """The best point of a run so far under :func:`incumbent_key`."""
+
+    position: Vector
+    objective: float
+    violation: float
+    phi: float
+
+
+def offer(incumbent: Optional[Incumbent], cohort: Cohort) -> Incumbent:
+    """The incumbent after seeing every cohort member, as if offered one
+    by one in index order: the cohort's best (first of equals) replaces
+    the incumbent only if strictly better."""
+    i = rank_order(cohort)[0]
+    objective = float(cohort.objective[i])
+    violation = float(cohort.violation[i])
+    phi = float(cohort.phi[i])
+    if incumbent is None or (
+            incumbent_key(objective, violation, phi)
+            < incumbent_key(incumbent.objective, incumbent.violation, incumbent.phi)):
+        return Incumbent(cohort.positions[i].copy(), objective, violation, phi)
+    return incumbent
 
 
 def selection_probabilities(phis: Sequence[float]) -> np.ndarray:
@@ -113,12 +161,12 @@ def selection_probabilities(phis: Sequence[float]) -> np.ndarray:
         phis = phis + (-low + 1e-9 * max(1.0, abs(low)))
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / phis
+        total = inv.sum()
     if np.isinf(inv).any():
         # 1/phi overflowed: those phis are indistinguishable from the
         # limit, so all weight concentrates on them
         mask = np.isinf(inv)
         return mask / mask.sum()
-    total = inv.sum()
     if total == 0.0:
         # every behavior infinitely bad: follow uniformly
         return np.full(phis.shape, 1.0 / phis.size)
@@ -135,122 +183,110 @@ def roulette_select(probs: Sequence[float], u: float) -> int:
     return len(probs) - 1
 
 
-def shrink_interval(followed_value: float, current_width: float, r: float,
-                    lower: float, upper: float) -> tuple[float, float]:
-    """Contract a sampling interval to width*r around the followed value,
-    intersected with the variable's bounds."""
+def roulette_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``roulette_select(probs, u_k)`` for every draw ``u_k`` at once."""
+    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"),
+                      len(probs) - 1)
+
+
+def shrink_interval(followed_value, current_width, r: float, lower, upper):
+    """Contract sampling intervals to width*r around the followed values,
+    intersected with the variables' bounds; scalars or arrays.
+
+    On a tie the bound is returned, as ``max(lower, v)`` would return it:
+    np.maximum and np.minimum return their second argument on equal
+    (signed-zero) inputs.
+    """
     half = 0.5 * current_width * r
-    return max(lower, followed_value - half), min(upper, followed_value + half)
-
-
-def _score_point(problem: ProblemDefinition, x: Vector, penalty: PenaltyConfig,
-                 counter: EvalCounter) -> tuple[Evaluation, float]:
-    ev = evaluate(problem, x, counter)
-    return ev, score(ev.objective, ev.violation, penalty).phi
-
-
-def _uniform_position(problem: ProblemDefinition, lo: Vector, hi: Vector,
-                      rng: RandomSource) -> Vector:
-    x = lo + rng.random(problem.dimension) * (hi - lo)
-    return clip_to_bounds(x, problem.bounds, problem.kinds)
+    return (np.maximum(followed_value - half, lower),
+            np.minimum(followed_value + half, upper))
 
 
 def initialize_cohort(problem: ProblemDefinition, cfg: CiConfig,
-                      rng: RandomSource, counter: EvalCounter) -> list[Candidate]:
+                      rng: RandomSource, counter: EvalCounter) -> Cohort:
     """C candidates sampled uniformly in the bounds, intervals spanning the
-    full bounds, all evaluated (C function evaluations)."""
-    cohort = []
-    for _ in range(cfg.cohort_size):
-        x = _uniform_position(problem, problem.bounds.lower, problem.bounds.upper, rng)
-        ev, phi = _score_point(problem, x, cfg.penalty, counter)
-        cohort.append(Candidate(position=x,
-                                interval_lower=problem.bounds.lower.copy(),
-                                interval_upper=problem.bounds.upper.copy(),
-                                evaluation=ev, phi=phi))
-    return cohort
+    full bounds, all evaluated (C function evaluations). ``cfg`` may be
+    either engine's config: only its cohort size and penalty are read."""
+    bounds = problem.bounds
+    shape = (cfg.cohort_size, problem.dimension)
+    points = clip_to_bounds(bounds.lower + rng.random(shape) * bounds.width,
+                            bounds, problem.integer_index)
+    objective, violation = evaluate_rows(problem, points, counter)
+    return Cohort(points, objective, violation,
+                  phi_values(objective, violation, cfg.penalty),
+                  np.broadcast_to(bounds.lower, shape),
+                  np.broadcast_to(bounds.upper, shape))
 
 
-def learning_attempt(cohort: list[Candidate], problem: ProblemDefinition,
+def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
                      cfg: CiConfig, rng: RandomSource,
-                     counter: EvalCounter) -> list[Candidate]:
+                     counter: EvalCounter) -> Cohort:
     """One full cohort iteration; costs exactly C * t evaluations.
 
-    Probabilities and followed positions are snapshotted at attempt start.
-    Per candidate the random stream is consumed in a fixed order: one
-    roulette draw, then one D-vector per variation.
+    Probabilities and followed positions are those at attempt start. The
+    one draw of C rows of 1 + t*D numbers consumes the stream as the
+    candidate-by-candidate order did: per candidate one roulette number,
+    then one D-vector per variation. Each candidate adopts its best
+    variation, the first of equals.
     """
-    probs = selection_probabilities([c.phi for c in cohort])
-    followed_positions = [c.position for c in cohort]
-
-    new_cohort = []
-    for cand in cohort:
-        target = followed_positions[roulette_select(probs, rng.random())]
-        lo = np.empty(problem.dimension)
-        hi = np.empty(problem.dimension)
-        for i in range(problem.dimension):
-            lo[i], hi[i] = shrink_interval(
-                target[i],
-                cand.interval_upper[i] - cand.interval_lower[i],
-                cfg.reduction_factor,
-                problem.bounds.lower[i], problem.bounds.upper[i])
-
-        best_x = None
-        best_ev = None
-        best_phi = np.inf
-        for _ in range(cfg.variations_per_attempt):
-            x = _uniform_position(problem, lo, hi, rng)
-            ev, phi = _score_point(problem, x, cfg.penalty, counter)
-            if best_x is None or phi < best_phi:
-                best_x, best_ev, best_phi = x, ev, phi
-        # unconditional adoption: the new behavior replaces the old one
-        new_cohort.append(Candidate(position=best_x, interval_lower=lo,
-                                    interval_upper=hi, evaluation=best_ev,
-                                    phi=best_phi))
-    return new_cohort
+    c, dim = cohort.positions.shape
+    t = cfg.variations_per_attempt
+    draws = rng.random((c, 1 + t * dim))
+    probs = selection_probabilities(cohort.phi)
+    followed = cohort.positions[roulette_indices(probs, draws[:, 0])]
+    lo, hi = shrink_interval(followed, cohort.interval_upper - cohort.interval_lower,
+                             cfg.reduction_factor, problem.bounds.lower,
+                             problem.bounds.upper)
+    samples = lo[:, None, :] + draws[:, 1:].reshape(c, t, dim) * (hi - lo)[:, None, :]
+    points = clip_to_bounds(samples.reshape(c * t, dim), problem.bounds,
+                            problem.integer_index)
+    objective, violation = evaluate_rows(problem, points, counter)
+    phi = phi_values(objective, violation, cfg.penalty)
+    # unconditional adoption: the new behavior replaces the old one
+    best = np.arange(0, c * t, t) + phi.reshape(c, t).argmin(axis=1)
+    return Cohort(points[best], objective[best], violation[best], phi[best], lo, hi)
 
 
-def check_saturation(trace: Sequence[TraceRecord], window: int, tol: float) -> bool:
-    """True iff the last ``window`` incumbent phis span a range <= tol."""
+def check_saturation(trace: Sequence[TraceRecord], window: int, tol: float,
+                     start: int = 0) -> bool:
+    """True iff the last ``window`` incumbent phis, all recorded at or after
+    index ``start``, span a range <= tol."""
     if window < 2:
         raise ValueError("window must be at least 2")
-    if len(trace) < window:
+    if len(trace) - start < window:
         return False
     phis = [rec.best_phi for rec in trace[-window:]]
     return max(phis) - min(phis) <= tol
 
 
-def cohort_spread(cohort: Sequence[Candidate]) -> float:
+def cohort_spread(cohort: Cohort) -> float:
     """Range of the cohort's current pseudo-objectives."""
-    phis = [c.phi for c in cohort]
-    return max(phis) - min(phis)
+    # Python floats: inf - inf is NaN (never saturated) without a warning
+    return float(cohort.phi.max()) - float(cohort.phi.min())
 
 
-def run_saturated(cohort: Sequence[Candidate], trace: Sequence[TraceRecord],
-                  window: int, tol: float) -> bool:
-    """Stopping rule: the incumbent has stalled over the window AND the
-    candidates' behaviors have become almost the same. Requiring cohort
-    consensus too keeps a momentary stall of the best-so-far from ending a
-    run whose candidates are still spread out and learning."""
-    return (check_saturation(trace, window, tol)
+def run_saturated(cohort: Cohort, trace: Sequence[TraceRecord],
+                  window: int, tol: float, start: int = 0) -> bool:
+    """Stopping rule: the incumbent has stalled over the window (counted
+    from trace index ``start``) AND the candidates' behaviors have become
+    almost the same. Requiring cohort consensus too keeps a momentary
+    stall of the best-so-far from ending a run whose candidates are still
+    spread out and learning."""
+    return (check_saturation(trace, window, tol, start)
             and cohort_spread(cohort) <= tol)
 
 
-class _Incumbent:
-    """Tracks the best candidate ever observed under incumbent_key."""
-
-    def __init__(self):
-        self.key = None
-        self.position: Optional[Vector] = None
-        self.evaluation: Optional[Evaluation] = None
-        self.phi = np.inf
-
-    def offer(self, candidate: Candidate) -> None:
-        key = incumbent_key(candidate.evaluation, candidate.phi)
-        if self.key is None or key < self.key:
-            self.key = key
-            self.position = candidate.position.copy()
-            self.evaluation = candidate.evaluation
-            self.phi = candidate.phi
+def run_result(best: Incumbent, counter: EvalCounter, attempts: int,
+               started: float, trace: list[TraceRecord]) -> RunResult:
+    return RunResult(best_position=best.position,
+                     best_objective=best.objective,
+                     best_phi=best.phi,
+                     best_violation=best.violation,
+                     feasible=best.violation == 0.0,
+                     function_evaluations=counter.count,
+                     learning_attempts=attempts,
+                     wall_time=time.perf_counter() - started,
+                     trace=trace)
 
 
 def ci_sapf_run(problem: ProblemDefinition, cfg: CiConfig) -> RunResult:
@@ -265,9 +301,7 @@ def ci_sapf_run(problem: ProblemDefinition, cfg: CiConfig) -> RunResult:
     started = time.perf_counter()
 
     cohort = initialize_cohort(problem, cfg, rng, counter)
-    best = _Incumbent()
-    for cand in cohort:
-        best.offer(cand)
+    best = offer(None, cohort)
 
     trace: list[TraceRecord] = []
     attempts = 0
@@ -277,29 +311,19 @@ def ci_sapf_run(problem: ProblemDefinition, cfg: CiConfig) -> RunResult:
            and counter.count + per_attempt <= cfg.max_function_evaluations):
         cohort = learning_attempt(cohort, problem, cfg, rng, counter)
         attempts += 1
-        for cand in cohort:
-            best.offer(cand)
+        best = offer(best, cohort)
         trace.append(TraceRecord(attempt=attempts, best_phi=best.phi,
-                                 best_f=best.evaluation.objective,
-                                 best_violation=best.evaluation.violation))
-        if run_saturated(cohort, trace[restart_mark:], cfg.saturation_window,
-                         cfg.saturation_tolerance):
+                                 best_f=best.objective,
+                                 best_violation=best.violation))
+        if run_saturated(cohort, trace, cfg.saturation_window,
+                         cfg.saturation_tolerance, restart_mark):
             if (cfg.restart_on_saturation
                     and counter.count + cfg.cohort_size + per_attempt
                     <= cfg.max_function_evaluations):
                 cohort = initialize_cohort(problem, cfg, rng, counter)
-                for cand in cohort:
-                    best.offer(cand)
+                best = offer(best, cohort)
                 restart_mark = len(trace)
                 continue
             break
 
-    return RunResult(best_position=best.position,
-                     best_objective=best.evaluation.objective,
-                     best_phi=best.phi,
-                     best_violation=best.evaluation.violation,
-                     feasible=best.evaluation.feasible,
-                     function_evaluations=counter.count,
-                     learning_attempts=attempts,
-                     wall_time=time.perf_counter() - started,
-                     trace=trace)
+    return run_result(best, counter, attempts, started, trace)

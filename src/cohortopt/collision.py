@@ -20,38 +20,27 @@ from typing import Sequence
 import numpy as np
 
 from .cohort import (
-    Candidate,
+    Cohort,
     RunResult,
     TraceRecord,
-    _Incumbent,
-    _score_point,
-    _uniform_position,
-    check_saturation,
+    initialize_cohort,
+    offer,
+    rank_order,
+    run_result,
     run_saturated,
-    incumbent_key,
-    roulette_select,
     selection_probabilities,
 )
-from .penalty import PenaltyConfig
+from .cohort import roulette_select  # noqa: F401  rebound by perfbench's tracer
+from .penalty import PenaltyConfig, phi_values
 from .problem import (
     EvalCounter,
     ProblemDefinition,
     RandomSource,
     Vector,
     clip_to_bounds,
+    evaluate_rows,
     make_rng,
 )
-
-
-class Role(enum.Enum):
-    STATIONARY = "stationary"
-    MOVING = "moving"
-
-
-@dataclass(frozen=True)
-class BodyRole:
-    role: Role
-    partner_index: int
 
 
 class CorSchedule(enum.Enum):
@@ -62,15 +51,15 @@ class CorSchedule(enum.Enum):
 class CollisionState:
     """One attempt's collision quantities over the rank-sorted cohort.
 
-    Stationary bodies (first half) always have zero velocity before the
-    collision. A pair whose masses are both zero (both behaviors
-    infinitely bad) exchanges nothing: its post-collision velocities are
-    zero vectors.
+    Row i of each velocity array belongs to the body at rank i. Stationary
+    bodies (first half) always have zero velocity before the collision. A
+    pair whose masses are both zero (both behaviors infinitely bad)
+    exchanges nothing: its post-collision velocities are zero.
     """
 
     masses: np.ndarray
-    velocities_before: tuple
-    velocities_after: tuple
+    velocities_before: np.ndarray   # (C, D)
+    velocities_after: np.ndarray    # (C, D)
     epsilon: float
 
 
@@ -98,28 +87,18 @@ class CboConfig:
             raise ValueError("unknown restitution schedule")
 
 
-def assign_roles(cohort: Sequence[Candidate]) -> list[BodyRole]:
-    """Split the cohort into halves by rank: better half stationary.
+def assign_roles(cohort: Cohort) -> np.ndarray:
+    """Rank the cohort and split it by rank: better half stationary.
 
-    Candidates are ranked ascending under the incumbent ordering (stable,
-    so ties keep input order). The moving candidate at sorted position
-    C/2 + k pairs with the stationary one at sorted position k. Returned
-    roles align with the input order; partner_index refers to input
-    indices.
+    Returns the cohort indices in ascending incumbent order (stable, so
+    ties keep index order). The first C/2 ranks are the stationary
+    bodies, the rest the moving ones; the moving body at rank C/2 + k
+    pairs with the stationary body at rank k.
     """
-    n = len(cohort)
+    n = len(cohort.phi)
     if n < 2 or n % 2 != 0:
         raise ValueError("cohort size must be even and >= 2")
-    order = sorted(range(n), key=lambda i: incumbent_key(cohort[i].evaluation,
-                                                         cohort[i].phi))
-    half = n // 2
-    roles: list[BodyRole] = [None] * n  # type: ignore[list-item]
-    for rank in range(half):
-        stat_idx = order[rank]
-        mov_idx = order[rank + half]
-        roles[stat_idx] = BodyRole(Role.STATIONARY, partner_index=mov_idx)
-        roles[mov_idx] = BodyRole(Role.MOVING, partner_index=stat_idx)
-    return roles
+    return rank_order(cohort)
 
 
 def masses(probs: Sequence[float]) -> np.ndarray:
@@ -133,20 +112,21 @@ def velocity_before(moving_position: Vector, partner_position: Vector) -> Vector
     return moving_position - partner_position
 
 
-def velocity_after_moving(m_mov: float, m_stat: float, velocity: Vector,
-                          eps: float) -> Vector:
+def velocity_after_moving(m_mov, m_stat, velocity: Vector, eps: float) -> Vector:
     """Post-collision velocity of a moving body:
-    (m_mov - eps * m_stat) / (m_mov + m_stat) times its own velocity."""
-    if m_mov + m_stat <= 0.0:
+    (m_mov - eps * m_stat) / (m_mov + m_stat) times its own velocity.
+    Masses may be arrays of shape (k, 1) for k pairs at once."""
+    if np.any(m_mov + m_stat <= 0.0):
         raise ValueError("mass sum must be positive")
     return (m_mov - eps * m_stat) / (m_mov + m_stat) * velocity
 
 
-def velocity_after_stationary(m_mov: float, m_stat: float,
-                              partner_velocity: Vector, eps: float) -> Vector:
+def velocity_after_stationary(m_mov, m_stat, partner_velocity: Vector,
+                              eps: float) -> Vector:
     """Post-collision velocity of a stationary body:
-    m_mov * (1 + eps) / (m_stat + m_mov) times the partner's velocity."""
-    if m_mov + m_stat <= 0.0:
+    m_mov * (1 + eps) / (m_stat + m_mov) times the partner's velocity.
+    Masses may be arrays of shape (k, 1) for k pairs at once."""
+    if np.any(m_mov + m_stat <= 0.0):
         raise ValueError("mass sum must be positive")
     return m_mov * (1.0 + eps) / (m_stat + m_mov) * partner_velocity
 
@@ -161,126 +141,79 @@ def cor_epsilon(attempt: int, max_attempts: int) -> float:
     return 1.0 - attempt / max_attempts
 
 
-def collision_state(ranked: Sequence[Candidate], ranked_masses: np.ndarray,
+def collision_state(ranked_positions: np.ndarray, ranked_masses: np.ndarray,
                     eps: float) -> CollisionState:
-    """Velocities before and after collision for a rank-sorted cohort."""
-    c = len(ranked)
-    half = c // 2
-    dim = ranked[0].position.shape[0]
-    zero = np.zeros(dim)
-    before = [zero] * half
-    before += [velocity_before(ranked[i].position, ranked[i - half].position)
-               for i in range(half, c)]
-    after = []
-    for i in range(c):
-        if i < half:
-            m_mov, m_stat = ranked_masses[i + half], ranked_masses[i]
-            v = before[i + half]
-            compute = velocity_after_stationary
-        else:
-            m_mov, m_stat = ranked_masses[i], ranked_masses[i - half]
-            v = before[i]
-            compute = velocity_after_moving
-        if m_mov + m_stat <= 0.0:
-            after.append(zero)
-        else:
-            after.append(compute(m_mov, m_stat, v, eps))
-    return CollisionState(masses=ranked_masses, velocities_before=tuple(before),
-                          velocities_after=tuple(after), epsilon=eps)
+    """Velocities before and after collision for a rank-sorted cohort,
+    every pair at once."""
+    half = len(ranked_positions) // 2
+    m_stat, m_mov = ranked_masses[:half, None], ranked_masses[half:, None]
+    before = np.zeros_like(ranked_positions)
+    before[half:] = velocity_before(ranked_positions[half:], ranked_positions[:half])
+    after = np.zeros_like(ranked_positions)
+    live = (m_mov + m_stat > 0.0)[:, 0]
+    m_mov, m_stat, v = m_mov[live], m_stat[live], before[half:][live]
+    after[:half][live] = velocity_after_stationary(m_mov, m_stat, v, eps)
+    after[half:][live] = velocity_after_moving(m_mov, m_stat, v, eps)
+    return CollisionState(masses=ranked_masses, velocities_before=before,
+                          velocities_after=after, epsilon=eps)
 
 
-def update_positions(cohort: Sequence[Candidate], roles: Sequence[BodyRole],
-                     velocities_after: Sequence[Vector],
-                     problem: ProblemDefinition,
-                     rng: RandomSource) -> list[Vector]:
-    """New positions from post-collision velocities, clipped to bounds.
+def update_positions(ranked_positions: np.ndarray, velocities_after: np.ndarray,
+                     problem: ProblemDefinition, rng: RandomSource) -> np.ndarray:
+    """New positions of the rank-sorted cohort from post-collision
+    velocities, clipped to bounds.
 
     Each body draws a fresh uniform [-1, 1] vector, one component per
-    dimension, in cohort order. A stationary body moves from its own
-    position; a moving body relocates relative to its partner's old
-    position.
+    dimension, in rank order (one draw of C rows). A stationary body moves
+    from its own position; a moving body relocates relative to its
+    partner's old position, so every body moves from a stationary one.
     """
-    new_positions = []
-    for i, cand in enumerate(cohort):
-        rand = rng.uniform(-1.0, 1.0, problem.dimension)
-        if roles[i].role is Role.STATIONARY:
-            base = cand.position
-        else:
-            base = cohort[roles[i].partner_index].position
-        new_positions.append(clip_to_bounds(base + rand * velocities_after[i],
-                                            problem.bounds, problem.kinds))
-    return new_positions
+    stationary = ranked_positions[:len(ranked_positions) // 2]
+    base = np.concatenate((stationary, stationary))
+    rand = rng.uniform(-1.0, 1.0, ranked_positions.shape)
+    return clip_to_bounds(base + rand * velocities_after, problem.bounds,
+                          problem.integer_index)
 
 
 def ci_sapf_cbo_run(problem: ProblemDefinition, cfg: CboConfig) -> RunResult:
     """Full hybrid run; costs C * (1 + attempts) function evaluations.
 
-    Per attempt the random stream is consumed in a fixed order: C roulette
-    draws (each candidate selects a behavior to follow; the collision
-    formulas themselves drive the position updates), then C uniform
-    [-1, 1] vectors in sorted order, stationary bodies first.
+    Per attempt the random stream is consumed in a fixed order: C follow
+    draws (each candidate's roulette number; the collision formulas
+    themselves drive the position updates, so the draws select nothing),
+    then C uniform [-1, 1] vectors in sorted order, stationary bodies
+    first.
     """
     rng = make_rng(cfg.seed)
     counter = EvalCounter()
     started = time.perf_counter()
     c = cfg.cohort_size
-    half = c // 2
 
-    cohort: list[Candidate] = []
-    for _ in range(c):
-        x = _uniform_position(problem, problem.bounds.lower, problem.bounds.upper, rng)
-        ev, phi = _score_point(problem, x, cfg.penalty, counter)
-        cohort.append(Candidate(position=x,
-                                interval_lower=problem.bounds.lower.copy(),
-                                interval_upper=problem.bounds.upper.copy(),
-                                evaluation=ev, phi=phi))
-
-    best = _Incumbent()
-    for cand in cohort:
-        best.offer(cand)
+    cohort = initialize_cohort(problem, cfg, rng, counter)
+    best = offer(None, cohort)
 
     trace: list[TraceRecord] = []
     attempts = 0
     while (attempts < cfg.max_learning_attempts
            and counter.count + c <= cfg.max_function_evaluations):
-        probs = selection_probabilities([cand.phi for cand in cohort])
-        for _ in range(c):
-            roulette_select(probs, rng.random())
-
-        order = sorted(range(c), key=lambda i: incumbent_key(cohort[i].evaluation,
-                                                             cohort[i].phi))
-        ranked = [cohort[i] for i in order]
-        ranked_masses = masses(probs[order])
-        roles = assign_roles(ranked)
-
+        probs = selection_probabilities(cohort.phi)
+        rng.random(c)   # the C follow draws; the collision picks no one to follow
+        order = assign_roles(cohort)
+        ranked = cohort.positions[order]
         eps = cor_epsilon(attempts, cfg.max_learning_attempts)
-        state = collision_state(ranked, ranked_masses, eps)
-        new_positions = update_positions(ranked, roles, state.velocities_after,
-                                         problem, rng)
-        new_cohort = []
-        for i, x in enumerate(new_positions):
-            ev, phi = _score_point(problem, x, cfg.penalty, counter)
-            new_cohort.append(Candidate(position=x,
-                                        interval_lower=ranked[i].interval_lower,
-                                        interval_upper=ranked[i].interval_upper,
-                                        evaluation=ev, phi=phi))
-        cohort = new_cohort
+        state = collision_state(ranked, masses(probs[order]), eps)
+        points = update_positions(ranked, state.velocities_after, problem, rng)
+        objective, violation = evaluate_rows(problem, points, counter)
+        cohort = Cohort(points, objective, violation,
+                        phi_values(objective, violation, cfg.penalty),
+                        cohort.interval_lower, cohort.interval_upper)
         attempts += 1
-        for cand in cohort:
-            best.offer(cand)
+        best = offer(best, cohort)
         trace.append(TraceRecord(attempt=attempts, best_phi=best.phi,
-                                 best_f=best.evaluation.objective,
-                                 best_violation=best.evaluation.violation))
+                                 best_f=best.objective,
+                                 best_violation=best.violation))
         if run_saturated(cohort, trace, cfg.saturation_window,
                          cfg.saturation_tolerance):
             break
 
-    return RunResult(best_position=best.position,
-                     best_objective=best.evaluation.objective,
-                     best_phi=best.phi,
-                     best_violation=best.evaluation.violation,
-                     feasible=best.evaluation.feasible,
-                     function_evaluations=counter.count,
-                     learning_attempts=attempts,
-                     wall_time=time.perf_counter() - started,
-                     trace=trace)
+    return run_result(best, counter, attempts, started, trace)

@@ -20,6 +20,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class Branch(enum.Enum):
     STANDARD = "standard"
@@ -50,8 +52,10 @@ class PenaltyConfig:
     negative_mode: NegativeMode = NegativeMode.LITERAL
 
     def __post_init__(self):
-        if self.near_zero_threshold < 0.0:
-            raise ValueError("near_zero_threshold must be non-negative")
+        # A zero threshold sends f == 0 to the standard branch, whose
+        # penalty f * V then vanishes (and is NaN for V = inf).
+        if self.near_zero_threshold <= 0.0:
+            raise ValueError("near_zero_threshold must be positive")
         if self.int_offset <= 0.0:
             raise ValueError("int_offset must be positive")
         # Guarantees f + int_offset > 0 inside the near-zero branch.
@@ -132,3 +136,32 @@ def score(f: float, violation: float, cfg: PenaltyConfig) -> PseudoObjective:
     branch = select_branch(f, cfg)
     penalty = sapf_penalty(f, violation, branch, cfg)
     return pseudo_objective(f, penalty, branch, cfg)
+
+
+def phi_values(f: np.ndarray, violation: np.ndarray,
+               cfg: PenaltyConfig) -> np.ndarray:
+    """``score(f[i], violation[i], cfg).phi`` for every i at once.
+
+    Same branch order and the same operations in the same order as the
+    scalar path, so every element is bit-identical to it. Overflow to
+    infinity is as silent as in Python float arithmetic.
+    """
+    guard = np.isinf(f)
+    negative = f < 0.0
+    has_guard, has_negative = guard.any(), negative.any()
+    # penalty multiplier: f (standard), f + int_offset (near zero),
+    # |f| == -f (negative), the substitute (infinity guard)
+    multiplier = np.where(f < cfg.near_zero_threshold, f + cfg.int_offset, f)
+    base = f
+    if has_negative:
+        multiplier = np.where(negative, -f, multiplier)
+    if has_guard:
+        multiplier = np.where(guard, cfg.infinity_substitute, multiplier)
+        base = np.where(guard, cfg.infinity_substitute, f)
+    with np.errstate(over="ignore"):
+        penalty = multiplier * violation
+        phi = base + penalty
+        if has_negative and cfg.negative_mode is NegativeMode.LITERAL:
+            # |-f + penalty| == |penalty - f|: IEEE subtraction adds the negation
+            phi = np.where(negative & ~guard, np.abs(penalty - base), phi)
+    return phi

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -118,6 +118,8 @@ class ProblemDefinition:
     equality_tolerance: float = 1e-4
     best_known: Optional[float] = None
     category: Category = Category.MECHANICAL
+    #: Indices of the integer dimensions, derived from ``kinds``.
+    integer_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -136,6 +138,7 @@ class ProblemDefinition:
                     raise ValueError(f"integer dimension {i} needs integral bounds")
         object.__setattr__(self, "inequality_fns", tuple(self.inequality_fns))
         object.__setattr__(self, "equality_fns", tuple(self.equality_fns))
+        object.__setattr__(self, "integer_index", integer_index(self.kinds))
 
 
 def make_rng(seed: int) -> RandomSource:
@@ -156,54 +159,53 @@ def total_violation(constraints: ConstraintEvaluation, eps: float) -> float:
     Only violated constraints contribute; satisfied ones add exactly zero,
     so the result is 0 iff the point is feasible.
     """
+    return _sum_violation(constraints.g_values, constraints.h_values, eps)
+
+
+def _sum_violation(g_values: Sequence[float], h_values: Sequence[float],
+                   eps: float) -> float:
+    # sequential, g terms first: a pairwise np.sum would round differently
     total = 0.0
-    for g in constraints.g_values:
+    for g in g_values:
         if g > 0.0:
             total += g
-    for h in constraints.h_values:
+    for h in h_values:
         total += equality_violation(h, eps)
     return total
 
 
-def round_integers(x: Vector, kinds: Sequence[VarKind]) -> Vector:
-    """Round integer dimensions to the nearest integral value."""
+def integer_index(kinds: Sequence[VarKind]) -> np.ndarray:
+    """Indices of the integer dimensions among ``kinds``."""
+    return np.flatnonzero([kind is VarKind.INTEGER for kind in kinds])
+
+
+def round_integers(x: Vector, integer_dims: np.ndarray) -> Vector:
+    """A copy of ``x`` (one point or rows of points) with the integer
+    dimensions rounded to the nearest integral value."""
     out = np.array(x, dtype=float)
-    for i, kind in enumerate(kinds):
-        if kind is VarKind.INTEGER:
-            out[i] = np.rint(out[i])
+    if integer_dims.size:
+        out[..., integer_dims] = np.rint(out[..., integer_dims])
     return out
 
 
-def clip_to_bounds(x: Vector, bounds: Bounds, kinds: Sequence[VarKind]) -> Vector:
-    """Clamp into the box and round integer dimensions.
+def clip_to_bounds(x: Vector, bounds: Bounds, integer_dims: np.ndarray) -> Vector:
+    """Clamp one point ``(D,)`` or rows of points ``(n, D)`` into the box
+    and round the integer dimensions (``integer_index`` of the kinds).
 
     Idempotent; integer dimensions stay in-bounds because their bounds are
     integral by construction.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != len(bounds):
+    if x.shape[-1] != len(bounds):
         raise DimensionMismatchError(
-            f"vector has length {x.shape[0]}, bounds have length {len(bounds)}")
-    out = np.clip(x, bounds.lower, bounds.upper)
-    return round_integers(out, kinds)
+            f"vector has length {x.shape[-1]}, bounds have length {len(bounds)}")
+    return round_integers(np.clip(x, bounds.lower, bounds.upper), integer_dims)
 
 
-def evaluate(problem: ProblemDefinition, x: Vector,
-             counter: Optional[EvalCounter] = None) -> Evaluation:
-    """Evaluate objective and all constraints at ``x``.
-
-    Integer dimensions are rounded before the evaluators run, so callers
-    may hand in continuous samples. NaN from any evaluator raises
-    :class:`EvaluationFaultError`; infinities pass through untouched.
-    Counts as exactly one function evaluation.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != problem.dimension:
-        raise DimensionMismatchError(
-            f"problem {problem.id!r} has dimension {problem.dimension}, "
-            f"got vector of shape {x.shape}")
-    x = round_integers(x, problem.kinds)
-
+def _call_at(problem: ProblemDefinition,
+             x: Vector) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """Objective, inequality values and equality values at the rounded
+    point ``x``; NaN from any callable raises :class:`EvaluationFaultError`."""
     f = float(problem.objective_fn(x))
     if math.isnan(f):
         raise EvaluationFaultError(f"objective of {problem.id!r} returned NaN at {x.tolist()}")
@@ -222,10 +224,56 @@ def evaluate(problem: ProblemDefinition, x: Vector,
             raise EvaluationFaultError(
                 f"equality constraint {j} of {problem.id!r} returned NaN at {x.tolist()}")
         h_values.append(h)
+    return f, tuple(g_values), tuple(h_values)
 
-    constraints = ConstraintEvaluation(tuple(g_values), tuple(h_values))
+
+def evaluate(problem: ProblemDefinition, x: Vector,
+             counter: Optional[EvalCounter] = None) -> Evaluation:
+    """Evaluate objective and all constraints at ``x``.
+
+    Integer dimensions are rounded before the evaluators run, so callers
+    may hand in continuous samples. NaN from any evaluator raises
+    :class:`EvaluationFaultError`; infinities pass through untouched.
+    Counts as exactly one function evaluation.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.shape[0] != problem.dimension:
+        raise DimensionMismatchError(
+            f"problem {problem.id!r} has dimension {problem.dimension}, "
+            f"got vector of shape {x.shape}")
+    x = round_integers(x, problem.integer_index)
+
+    f, g_values, h_values = _call_at(problem, x)
+    constraints = ConstraintEvaluation(g_values, h_values)
     violation = total_violation(constraints, problem.equality_tolerance)
     if counter is not None:
         counter.count += 1
     return Evaluation(objective=f, constraints=constraints,
                       violation=violation, feasible=violation == 0.0)
+
+
+def evaluate_rows(problem: ProblemDefinition, points: np.ndarray,
+                  counter: Optional[EvalCounter] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Objective and aggregate violation of each row of ``points`` (n, D),
+    with the NaN faults and the violation sum of :func:`evaluate`.
+
+    The rows must already be clipped and rounded. Each row is handed to
+    the problem's callables as its own copy, shared by that row's
+    callables as in :func:`evaluate`, so a callable that writes into its
+    argument cannot alter ``points``. Counts as n function evaluations.
+    """
+    rows = np.array(points, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != problem.dimension:
+        raise DimensionMismatchError(
+            f"problem {problem.id!r} has dimension {problem.dimension}, "
+            f"got points of shape {rows.shape}")
+    eps = problem.equality_tolerance
+    objectives = []
+    violations = []
+    for x in rows:
+        f, g_values, h_values = _call_at(problem, x)
+        objectives.append(f)
+        violations.append(_sum_violation(g_values, h_values, eps))
+    if counter is not None:
+        counter.count += len(rows)
+    return np.array(objectives), np.array(violations)

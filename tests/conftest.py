@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from cohortopt import (
-    Bounds,
-    ConstraintEvaluation,
-    Evaluation,
-    ProblemDefinition,
-    VarKind,
-)
+from cohortopt import Bounds, ProblemDefinition, VarKind
 
 
 def make_problem(dim=2, lower=-5.0, upper=5.0, kinds=None, inequality=(),
@@ -31,14 +25,3 @@ def floor_problem():
     """1-D minimize x^2 subject to x >= 1; optimum f = 1 at x = 1."""
     return make_problem(dim=1, inequality=(lambda x: 1.0 - x[0],), pid="floor")
 
-
-def feasible_evaluation(objective):
-    return Evaluation(objective=objective,
-                      constraints=ConstraintEvaluation((), ()),
-                      violation=0.0, feasible=True)
-
-
-def infeasible_evaluation(objective, violation):
-    return Evaluation(objective=objective,
-                      constraints=ConstraintEvaluation((violation,), ()),
-                      violation=violation, feasible=False)

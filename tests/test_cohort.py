@@ -101,27 +101,27 @@ class TestInitializeCohort:
         cfg = CiConfig(cohort_size=5)
         counter = EvalCounter()
         cohort = initialize_cohort(sphere_problem, cfg, make_rng(1), counter)
-        assert len(cohort) == 5
+        assert cohort.positions.shape == (5, 3)
+        assert cohort.objective.shape == cohort.violation.shape == cohort.phi.shape == (5,)
         assert counter.count == 5
-        for cand in cohort:
-            assert sphere_problem.bounds.contains(cand.position)
-            assert np.array_equal(cand.interval_lower, sphere_problem.bounds.lower)
-            assert np.array_equal(cand.interval_upper, sphere_problem.bounds.upper)
+        for i in range(5):
+            assert sphere_problem.bounds.contains(cohort.positions[i])
+            assert np.array_equal(cohort.interval_lower[i], sphere_problem.bounds.lower)
+            assert np.array_equal(cohort.interval_upper[i], sphere_problem.bounds.upper)
 
     def test_deterministic(self, sphere_problem):
         cfg = CiConfig()
         a = initialize_cohort(sphere_problem, cfg, make_rng(42), EvalCounter())
         b = initialize_cohort(sphere_problem, cfg, make_rng(42), EvalCounter())
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.position, cb.position)
-            assert ca.phi == cb.phi
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.phi, b.phi)
 
     def test_degenerate_bound_dimension_is_constant(self):
         problem = make_problem(dim=2)
         squeezed = replace(problem, bounds=type(problem.bounds)(
             np.array([2.0, -5.0]), np.array([2.0, 5.0])))
         cohort = initialize_cohort(squeezed, CiConfig(), make_rng(3), EvalCounter())
-        assert all(c.position[0] == 2.0 for c in cohort)
+        assert np.all(cohort.positions[:, 0] == 2.0)
 
 
 class TestLearningAttempt:
@@ -146,31 +146,30 @@ class TestLearningAttempt:
         cohort = initialize_cohort(sphere_problem, cfg, make_rng(1), EvalCounter())
         new = learning_attempt(cohort, sphere_problem, cfg, make_rng(2), EvalCounter())
         full = sphere_problem.bounds.width
-        for cand in new:
-            widths = cand.interval_upper - cand.interval_lower
-            assert np.all(widths <= 0.9 * full + 1e-12)
+        widths = new.interval_upper - new.interval_lower
+        assert widths.shape == (3, 3)
+        assert np.all(widths <= 0.9 * full + 1e-12)
 
     def test_identical_cohort_contracts_exactly_around_common_point(self):
         # centered samples never clip, so the contraction is exact
         problem = make_problem(dim=2, lower=-5.0, upper=5.0)
         cfg = CiConfig(cohort_size=3, reduction_factor=0.9)
         cohort = initialize_cohort(problem, cfg, make_rng(1), EvalCounter())
-        for cand in cohort:
-            cand.position = np.zeros(2)
+        cohort.positions = np.zeros((3, 2))
         new = learning_attempt(cohort, problem, cfg, make_rng(2), EvalCounter())
-        for cand in new:
-            widths = cand.interval_upper - cand.interval_lower
+        for i in range(3):
+            widths = new.interval_upper[i] - new.interval_lower[i]
             assert widths == pytest.approx(0.9 * problem.bounds.width)
-            assert cand.interval_lower == pytest.approx([-4.5, -4.5])
+            assert new.interval_lower[i] == pytest.approx([-4.5, -4.5])
 
     def test_deterministic(self, sphere_problem):
         cfg = CiConfig()
         cohort = initialize_cohort(sphere_problem, cfg, make_rng(1), EvalCounter())
         a = learning_attempt(cohort, sphere_problem, cfg, make_rng(9), EvalCounter())
         b = learning_attempt(cohort, sphere_problem, cfg, make_rng(9), EvalCounter())
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.position, cb.position)
-            assert ca.phi == cb.phi
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.phi, b.phi)
+        assert np.array_equal(a.interval_lower, b.interval_lower)
 
 
 class TestCheckSaturation:
@@ -256,26 +255,24 @@ class TestCiSapfRun:
 
 
 class TestIncumbentOrdering:
+    # incumbent_key(objective, violation, phi)
     def test_feasible_beats_infeasible(self):
-        from conftest import feasible_evaluation, infeasible_evaluation
-        good = incumbent_key(feasible_evaluation(100.0), 100.0)
-        bad = incumbent_key(infeasible_evaluation(-5.0, 0.001), -5.0)
+        good = incumbent_key(100.0, 0.0, 100.0)
+        bad = incumbent_key(-5.0, 0.001, -5.0)
         assert good < bad
 
     def test_lower_objective_wins_among_feasible(self):
-        from conftest import feasible_evaluation
-        a = incumbent_key(feasible_evaluation(1.0), 1.0)
-        b = incumbent_key(feasible_evaluation(2.0), 2.0)
+        a = incumbent_key(1.0, 0.0, 1.0)
+        b = incumbent_key(2.0, 0.0, 2.0)
         assert a < b
 
     def test_lower_violation_wins_among_infeasible(self):
-        from conftest import infeasible_evaluation
-        a = incumbent_key(infeasible_evaluation(50.0, 0.1), 55.0)
-        b = incumbent_key(infeasible_evaluation(1.0, 0.2), 1.2)
+        a = incumbent_key(50.0, 0.1, 55.0)
+        b = incumbent_key(1.0, 0.2, 1.2)
         assert a < b
 
 
 def test_cohort_spread(sphere_problem):
     cohort = initialize_cohort(sphere_problem, CiConfig(), make_rng(0), EvalCounter())
-    phis = [c.phi for c in cohort]
+    phis = cohort.phi.tolist()
     assert cohort_spread(cohort) == max(phis) - min(phis)

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cohortopt import (
-    BodyRole,
-    Candidate,
     CboConfig,
-    Role,
+    Cohort,
     assign_roles,
     ci_sapf_cbo_run,
     collision_state,
@@ -18,47 +16,42 @@ from cohortopt import (
     velocity_after_stationary,
     velocity_before,
 )
-from cohortopt.problem import ConstraintEvaluation, Evaluation
 from conftest import make_problem
 
 
-def body(phi, position=(0.0,)):
-    ev = Evaluation(objective=phi, constraints=ConstraintEvaluation((), ()),
-                    violation=0.0, feasible=True)
-    pos = np.array(position, dtype=float)
-    return Candidate(position=pos, interval_lower=pos.copy(),
-                     interval_upper=pos.copy(), evaluation=ev, phi=phi)
+def feasible_cohort(phis):
+    """A feasible 1-D cohort whose objectives equal its phis."""
+    phi = np.array(phis, dtype=float)
+    positions = np.zeros((len(phi), 1))
+    return Cohort(positions, phi.copy(), np.zeros(len(phi)), phi,
+                  positions.copy(), positions.copy())
 
 
 class TestAssignRoles:
+    # assign_roles returns cohort indices by rank: the first half is
+    # stationary, and rank C/2 + k (moving) pairs with rank k (stationary)
     def test_sort_and_split_pairing(self):
-        cohort = [body(3.0), body(1.0), body(4.0), body(2.0)]
-        roles = assign_roles(cohort)
-        assert roles[0] == BodyRole(Role.MOVING, partner_index=1)      # phi 3
-        assert roles[1] == BodyRole(Role.STATIONARY, partner_index=0)  # phi 1
-        assert roles[2] == BodyRole(Role.MOVING, partner_index=3)      # phi 4
-        assert roles[3] == BodyRole(Role.STATIONARY, partner_index=2)  # phi 2
+        order = assign_roles(feasible_cohort([3.0, 1.0, 4.0, 2.0]))
+        stationary, moving = order[:2].tolist(), order[2:].tolist()
+        assert stationary == [1, 3]     # phi 1, phi 2
+        assert moving == [0, 2]         # phi 3 pairs with phi 1, phi 4 with phi 2
 
     def test_ties_use_stable_order(self):
-        cohort = [body(1.0) for _ in range(4)]
-        roles = assign_roles(cohort)
-        assert [r.role for r in roles] == [Role.STATIONARY, Role.STATIONARY,
-                                           Role.MOVING, Role.MOVING]
+        order = assign_roles(feasible_cohort([1.0] * 4))
+        assert order.tolist() == [0, 1, 2, 3]
 
     def test_minimal_cohort(self):
-        roles = assign_roles([body(2.0), body(1.0)])
-        assert roles[0].role is Role.MOVING
-        assert roles[1].role is Role.STATIONARY
-        assert roles[0].partner_index == 1
+        order = assign_roles(feasible_cohort([2.0, 1.0]))
+        assert order.tolist() == [1, 0]     # 1 stationary, 0 moving, paired
 
     def test_halves_are_equal_size(self):
-        roles = assign_roles([body(float(i)) for i in range(8)])
-        stationary = sum(r.role is Role.STATIONARY for r in roles)
-        assert stationary == 4
+        order = assign_roles(feasible_cohort([float(i) for i in range(8)]))
+        assert sorted(order[:4].tolist()) == [0, 1, 2, 3]
+        assert sorted(order[4:].tolist()) == [4, 5, 6, 7]
 
     def test_odd_cohort_rejected(self):
         with pytest.raises(ValueError):
-            assign_roles([body(1.0), body(2.0), body(3.0)])
+            assign_roles(feasible_cohort([1.0, 2.0, 3.0]))
 
 
 class TestMasses:
@@ -145,54 +138,65 @@ class TestCorEpsilon:
 
 class TestCollisionState:
     def test_stationary_pre_velocities_are_zero(self):
-        cohort = [body(1.0, (0.0, 0.0)), body(2.0, (1.0, 1.0)),
-                  body(3.0, (2.0, 2.0)), body(4.0, (4.0, 0.0))]
-        state = collision_state(cohort, np.array([0.4, 0.3, 0.2, 0.1]), 0.5)
+        ranked = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (4.0, 0.0)])
+        state = collision_state(ranked, np.array([0.4, 0.3, 0.2, 0.1]), 0.5)
         assert np.array_equal(state.velocities_before[0], np.zeros(2))
         assert np.array_equal(state.velocities_before[1], np.zeros(2))
         assert np.array_equal(state.velocities_before[2], np.array([2.0, 2.0]))
         assert np.array_equal(state.velocities_before[3], np.array([3.0, -1.0]))
 
     def test_masses_sum_to_one(self):
-        cohort = [body(float(i + 1), (float(i),)) for i in range(6)]
+        ranked = np.arange(6, dtype=float)[:, None]
         probs = np.full(6, 1 / 6)
-        state = collision_state(cohort, probs, 1.0)
+        state = collision_state(ranked, probs, 1.0)
         assert state.masses.sum() == pytest.approx(1.0)
 
     def test_zero_mass_pair_exchanges_nothing(self):
-        cohort = [body(1.0, (0.0,)), body(2.0, (1.0,)),
-                  body(3.0, (5.0,)), body(4.0, (9.0,))]
-        state = collision_state(cohort, np.array([0.6, 0.0, 0.4, 0.0]), 1.0)
+        ranked = np.array([[0.0], [1.0], [5.0], [9.0]])
+        state = collision_state(ranked, np.array([0.6, 0.0, 0.4, 0.0]), 1.0)
         assert np.array_equal(state.velocities_after[1], np.zeros(1))
         assert np.array_equal(state.velocities_after[3], np.zeros(1))
+        # the live pair still collides
+        assert state.velocities_after[0] == pytest.approx([4.0])
+        assert state.velocities_after[2] == pytest.approx([-1.0])
+
+    def test_pairs_match_the_scalar_formulas(self):
+        rng = make_rng(3)
+        ranked = rng.uniform(-5, 5, (6, 3))
+        probs = rng.random(6)
+        probs /= probs.sum()
+        state = collision_state(ranked, probs, 0.3)
+        for k in range(3):
+            v = velocity_before(ranked[k + 3], ranked[k])
+            assert np.array_equal(state.velocities_after[k],
+                                  velocity_after_stationary(probs[k + 3], probs[k], v, 0.3))
+            assert np.array_equal(state.velocities_after[k + 3],
+                                  velocity_after_moving(probs[k + 3], probs[k], v, 0.3))
 
 
 class TestUpdatePositions:
     def test_zero_velocity_keeps_positions(self, sphere_problem):
-        cohort = [body(1.0, (0.0, 0.0, 0.0)), body(2.0, (1.0, 1.0, 1.0))]
-        roles = assign_roles(cohort)
-        zero = [np.zeros(3), np.zeros(3)]
-        out = update_positions(cohort, roles, zero, sphere_problem, make_rng(0))
-        assert np.array_equal(out[0], cohort[0].position)
-        assert np.array_equal(out[1], cohort[roles[1].partner_index].position)
+        ranked = np.array([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
+        out = update_positions(ranked, np.zeros((2, 3)), sphere_problem, make_rng(0))
+        assert np.array_equal(out[0], ranked[0])
+        # the moving body relocates relative to its stationary partner
+        assert np.array_equal(out[1], ranked[0])
 
     def test_matches_manual_formula(self, sphere_problem):
-        cohort = [body(1.0, (0.0, 0.0, 0.0)), body(2.0, (1.0, 1.0, 1.0))]
-        roles = assign_roles(cohort)
-        velocities = [np.array([1.0, 0.0, 2.0]), np.array([0.5, 0.5, 0.5])]
-        rng = make_rng(7)
-        expected_r0 = make_rng(7).uniform(-1, 1, 3)
-        out = update_positions(cohort, roles, velocities, sphere_problem, rng)
-        assert out[0] == pytest.approx(cohort[0].position + expected_r0 * velocities[0])
+        ranked = np.array([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
+        velocities = np.array([(1.0, 0.0, 2.0), (0.5, 0.5, 0.5)])
+        reference = make_rng(7)
+        expected_r0 = reference.uniform(-1, 1, 3)
+        expected_r1 = reference.uniform(-1, 1, 3)
+        out = update_positions(ranked, velocities, sphere_problem, make_rng(7))
+        assert out[0] == pytest.approx(ranked[0] + expected_r0 * velocities[0])
+        assert out[1] == pytest.approx(ranked[0] + expected_r1 * velocities[1])
 
     def test_results_clipped(self):
         problem = make_problem(dim=1, lower=0.0, upper=1.0)
-        cohort = [body(1.0, (0.9,)), body(2.0, (0.1,))]
-        roles = assign_roles(cohort)
-        big = [np.array([100.0]), np.array([100.0])]
-        out = update_positions(cohort, roles, big, problem, make_rng(1))
-        for x in out:
-            assert 0.0 <= x[0] <= 1.0
+        ranked = np.array([[0.1], [0.9]])
+        out = update_positions(ranked, np.full((2, 1), 100.0), problem, make_rng(1))
+        assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 class TestCboConfig:

@@ -140,3 +140,9 @@ class TestConfigValidation:
     def test_threshold_non_negative(self):
         with pytest.raises(ValueError):
             PenaltyConfig(near_zero_threshold=-1.0)
+
+    def test_threshold_zero_rejected(self):
+        # f == 0 would take the standard branch: score(0.0, 3.0) had penalty
+        # 0 at a violated point, and score(0.0, inf) a NaN phi
+        with pytest.raises(ValueError):
+            PenaltyConfig(near_zero_threshold=0.0, int_offset=1.0)

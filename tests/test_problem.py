@@ -14,6 +14,7 @@ from cohortopt import (
     clip_to_bounds,
     equality_violation,
     evaluate,
+    integer_index,
     make_rng,
     suite,
     total_violation,
@@ -124,22 +125,22 @@ class TestClipToBounds:
     BOUNDS = Bounds(np.array([0.0]), np.array([1.0]))
 
     def test_clamp_to_upper(self):
-        out = clip_to_bounds(np.array([1.5]), self.BOUNDS, (VarKind.CONTINUOUS,))
+        out = clip_to_bounds(np.array([1.5]), self.BOUNDS, integer_index((VarKind.CONTINUOUS,)))
         assert out[0] == 1.0
 
     def test_identity_inside(self):
-        out = clip_to_bounds(np.array([0.4]), self.BOUNDS, (VarKind.CONTINUOUS,))
+        out = clip_to_bounds(np.array([0.4]), self.BOUNDS, integer_index((VarKind.CONTINUOUS,)))
         assert out[0] == 0.4
 
     def test_integer_rounding(self):
         bounds = Bounds(np.array([12.0]), np.array([60.0]))
-        out = clip_to_bounds(np.array([14.6]), bounds, (VarKind.INTEGER,))
+        out = clip_to_bounds(np.array([14.6]), bounds, integer_index((VarKind.INTEGER,)))
         assert out[0] == 15.0
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=2))
     def test_idempotent(self, values):
         bounds = Bounds(np.array([-3.0, 10.0]), np.array([3.0, 20.0]))
-        kinds = (VarKind.CONTINUOUS, VarKind.INTEGER)
+        kinds = integer_index((VarKind.CONTINUOUS, VarKind.INTEGER))
         once = clip_to_bounds(np.array(values), bounds, kinds)
         twice = clip_to_bounds(once, bounds, kinds)
         assert np.array_equal(once, twice)
