@@ -6,7 +6,8 @@ pseudo-objectives, each candidate roulette-selects a peer to follow,
 contracts its own interval by the reduction factor around the followed
 peer's position, resamples inside it and adopts the best resample
 unconditionally. The run stops on saturation of the incumbent trace or
-when a budget is exhausted.
+when a budget is exhausted. The run loop (:func:`run_cohort`) is shared
+with the collision engine, which supplies its own learning attempt.
 
 The cohort is held as arrays (:class:`Cohort`) and each step works on
 all candidates at once; only the problem's own callables run once per
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -167,6 +168,10 @@ def selection_probabilities(phis: Sequence[float]) -> np.ndarray:
         # limit, so all weight concentrates on them
         mask = np.isinf(inv)
         return mask / mask.sum()
+    if np.isinf(total):
+        # every 1/phi is finite but their sum is not: scale before summing
+        inv = inv / inv.max()
+        total = inv.sum()
     if total == 0.0:
         # every behavior infinitely bad: follow uniformly
         return np.full(phis.shape, 1.0 / phis.size)
@@ -220,8 +225,9 @@ def initialize_cohort(problem: ProblemDefinition, cfg: CiConfig,
 
 def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
                      cfg: CiConfig, rng: RandomSource,
-                     counter: EvalCounter) -> Cohort:
-    """One full cohort iteration; costs exactly C * t evaluations.
+                     counter: EvalCounter, attempt: int = 0) -> Cohort:
+    """One full cohort iteration; costs exactly C * t evaluations. The
+    interval rule does not depend on ``attempt``, the attempts done so far.
 
     Probabilities and followed positions are those at attempt start. The
     one draw of C rows of 1 + t*D numbers consumes the stream as the
@@ -276,8 +282,49 @@ def run_saturated(cohort: Cohort, trace: Sequence[TraceRecord],
             and cohort_spread(cohort) <= tol)
 
 
-def run_result(best: Incumbent, counter: EvalCounter, attempts: int,
-               started: float, trace: list[TraceRecord]) -> RunResult:
+def run_cohort(problem: ProblemDefinition, cfg, per_attempt: int,
+               step: Callable[..., Cohort], restart: bool) -> RunResult:
+    """The run loop both engines share: initialize, iterate learning
+    attempts, stop on saturation or budget, return the incumbent with its
+    per-attempt trace. ``cfg`` is either engine's config.
+
+    ``step(cohort, problem, cfg, rng, counter, attempt)`` is the engine's
+    learning attempt: it returns the next cohort after spending exactly
+    ``per_attempt`` evaluations, ``attempt`` being the number of attempts
+    done before it. With ``restart``, a saturated cohort is re-initialized
+    while the FE budget still affords it and one more attempt; the
+    incumbent is kept. An all-infeasible outcome is not an error; the
+    result simply carries feasible=False and the smallest violation found.
+    """
+    rng = make_rng(cfg.seed)
+    counter = EvalCounter()
+    started = time.perf_counter()
+
+    cohort = initialize_cohort(problem, cfg, rng, counter)
+    best = offer(None, cohort)
+
+    trace: list[TraceRecord] = []
+    attempts = 0
+    restart_mark = 0
+    while (attempts < cfg.max_learning_attempts
+           and counter.count + per_attempt <= cfg.max_function_evaluations):
+        cohort = step(cohort, problem, cfg, rng, counter, attempts)
+        attempts += 1
+        best = offer(best, cohort)
+        trace.append(TraceRecord(attempt=attempts, best_phi=best.phi,
+                                 best_f=best.objective,
+                                 best_violation=best.violation))
+        if run_saturated(cohort, trace, cfg.saturation_window,
+                         cfg.saturation_tolerance, restart_mark):
+            if (restart
+                    and counter.count + cfg.cohort_size + per_attempt
+                    <= cfg.max_function_evaluations):
+                cohort = initialize_cohort(problem, cfg, rng, counter)
+                best = offer(best, cohort)
+                restart_mark = len(trace)
+                continue
+            break
+
     return RunResult(best_position=best.position,
                      best_objective=best.objective,
                      best_phi=best.phi,
@@ -290,40 +337,6 @@ def run_result(best: Incumbent, counter: EvalCounter, attempts: int,
 
 
 def ci_sapf_run(problem: ProblemDefinition, cfg: CiConfig) -> RunResult:
-    """Full run: initialize, iterate learning attempts, stop on saturation
-    or budget, return the incumbent with its per-attempt trace.
-
-    An all-infeasible outcome is not an error; the result simply carries
-    feasible=False and the smallest violation found.
-    """
-    rng = make_rng(cfg.seed)
-    counter = EvalCounter()
-    started = time.perf_counter()
-
-    cohort = initialize_cohort(problem, cfg, rng, counter)
-    best = offer(None, cohort)
-
-    trace: list[TraceRecord] = []
-    attempts = 0
-    restart_mark = 0
-    per_attempt = cfg.cohort_size * cfg.variations_per_attempt
-    while (attempts < cfg.max_learning_attempts
-           and counter.count + per_attempt <= cfg.max_function_evaluations):
-        cohort = learning_attempt(cohort, problem, cfg, rng, counter)
-        attempts += 1
-        best = offer(best, cohort)
-        trace.append(TraceRecord(attempt=attempts, best_phi=best.phi,
-                                 best_f=best.objective,
-                                 best_violation=best.violation))
-        if run_saturated(cohort, trace, cfg.saturation_window,
-                         cfg.saturation_tolerance, restart_mark):
-            if (cfg.restart_on_saturation
-                    and counter.count + cfg.cohort_size + per_attempt
-                    <= cfg.max_function_evaluations):
-                cohort = initialize_cohort(problem, cfg, rng, counter)
-                best = offer(best, cohort)
-                restart_mark = len(trace)
-                continue
-            break
-
-    return run_result(best, counter, attempts, started, trace)
+    """Full ci-sapf run: :func:`run_cohort` over :func:`learning_attempt`."""
+    return run_cohort(problem, cfg, cfg.cohort_size * cfg.variations_per_attempt,
+                      learning_attempt, cfg.restart_on_saturation)

@@ -7,30 +7,25 @@ stationary half and a worse, moving half; paired bodies exchange
 momentum-like velocities weighted by their selection probabilities
 (masses) and a coefficient of restitution that decays linearly over the
 run, shifting the search from exploration to exploitation. No sampling
-reduction factor exists anywhere in this engine.
+reduction factor exists anywhere in this engine. The run loop is
+``cohort.run_cohort``; this module supplies its learning attempt.
 """
 
 from __future__ import annotations
 
-import enum
-import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .cohort import (
     Cohort,
     RunResult,
-    TraceRecord,
-    initialize_cohort,
-    offer,
     rank_order,
-    run_result,
-    run_saturated,
+    run_cohort,
     selection_probabilities,
 )
-from .cohort import roulette_select  # noqa: F401  rebound by perfbench's tracer
+# not called here; perfbench's tracer rebinds these names in this module
+from .cohort import roulette_select, run_saturated  # noqa: F401
 from .penalty import PenaltyConfig, phi_values
 from .problem import (
     EvalCounter,
@@ -39,34 +34,12 @@ from .problem import (
     Vector,
     clip_to_bounds,
     evaluate_rows,
-    make_rng,
 )
-
-
-class CorSchedule(enum.Enum):
-    LINEAR_DECAY = "linear_decay"
-
-
-@dataclass(frozen=True)
-class CollisionState:
-    """One attempt's collision quantities over the rank-sorted cohort.
-
-    Row i of each velocity array belongs to the body at rank i. Stationary
-    bodies (first half) always have zero velocity before the collision. A
-    pair whose masses are both zero (both behaviors infinitely bad)
-    exchanges nothing: its post-collision velocities are zero.
-    """
-
-    masses: np.ndarray
-    velocities_before: np.ndarray   # (C, D)
-    velocities_after: np.ndarray    # (C, D)
-    epsilon: float
 
 
 @dataclass(frozen=True)
 class CboConfig:
     cohort_size: int = 6
-    cor_schedule: CorSchedule = CorSchedule.LINEAR_DECAY
     max_learning_attempts: int = 2000
     max_function_evaluations: int = 30000
     saturation_window: int = 20
@@ -83,8 +56,6 @@ class CboConfig:
             raise ValueError("saturation_window must be at least 2")
         if self.saturation_tolerance < 0.0:
             raise ValueError("saturation_tolerance must be non-negative")
-        if not isinstance(self.cor_schedule, CorSchedule):
-            raise ValueError("unknown restitution schedule")
 
 
 def assign_roles(cohort: Cohort) -> np.ndarray:
@@ -99,17 +70,6 @@ def assign_roles(cohort: Cohort) -> np.ndarray:
     if n < 2 or n % 2 != 0:
         raise ValueError("cohort size must be even and >= 2")
     return rank_order(cohort)
-
-
-def masses(probs: Sequence[float]) -> np.ndarray:
-    """Body masses are the selection probabilities: better is heavier."""
-    return np.asarray(probs, dtype=float).copy()
-
-
-def velocity_before(moving_position: Vector, partner_position: Vector) -> Vector:
-    """Pre-collision velocity of a moving body: offset from its partner.
-    Stationary bodies have zero velocity before collision."""
-    return moving_position - partner_position
 
 
 def velocity_after_moving(m_mov, m_stat, velocity: Vector, eps: float) -> Vector:
@@ -142,20 +102,24 @@ def cor_epsilon(attempt: int, max_attempts: int) -> float:
 
 
 def collision_state(ranked_positions: np.ndarray, ranked_masses: np.ndarray,
-                    eps: float) -> CollisionState:
-    """Velocities before and after collision for a rank-sorted cohort,
-    every pair at once."""
+                    eps: float) -> np.ndarray:
+    """Post-collision velocities ``(C, D)`` of a rank-sorted cohort, every
+    pair at once; row i belongs to the body at rank i.
+
+    Before the collision a moving body's velocity is its offset from its
+    stationary partner, and stationary bodies are at rest. A pair whose
+    masses are both zero (both behaviors infinitely bad) exchanges
+    nothing: its post-collision velocities are zero.
+    """
     half = len(ranked_positions) // 2
     m_stat, m_mov = ranked_masses[:half, None], ranked_masses[half:, None]
-    before = np.zeros_like(ranked_positions)
-    before[half:] = velocity_before(ranked_positions[half:], ranked_positions[:half])
+    v = ranked_positions[half:] - ranked_positions[:half]
     after = np.zeros_like(ranked_positions)
     live = (m_mov + m_stat > 0.0)[:, 0]
-    m_mov, m_stat, v = m_mov[live], m_stat[live], before[half:][live]
+    m_mov, m_stat, v = m_mov[live], m_stat[live], v[live]
     after[:half][live] = velocity_after_stationary(m_mov, m_stat, v, eps)
     after[half:][live] = velocity_after_moving(m_mov, m_stat, v, eps)
-    return CollisionState(masses=ranked_masses, velocities_before=before,
-                          velocities_after=after, epsilon=eps)
+    return after
 
 
 def update_positions(ranked_positions: np.ndarray, velocities_after: np.ndarray,
@@ -175,45 +139,33 @@ def update_positions(ranked_positions: np.ndarray, velocities_after: np.ndarray,
                           problem.integer_index)
 
 
-def ci_sapf_cbo_run(problem: ProblemDefinition, cfg: CboConfig) -> RunResult:
-    """Full hybrid run; costs C * (1 + attempts) function evaluations.
+def collision_attempt(cohort: Cohort, problem: ProblemDefinition,
+                      cfg: CboConfig, rng: RandomSource, counter: EvalCounter,
+                      attempt: int) -> Cohort:
+    """One collision update of the whole cohort; costs exactly C
+    evaluations. The masses are the follow probabilities and the
+    restitution is ``cor_epsilon(attempt, max_learning_attempts)``.
 
-    Per attempt the random stream is consumed in a fixed order: C follow
-    draws (each candidate's roulette number; the collision formulas
-    themselves drive the position updates, so the draws select nothing),
-    then C uniform [-1, 1] vectors in sorted order, stationary bodies
-    first.
+    The random stream is consumed in a fixed order: C follow draws (each
+    candidate's roulette number; the collision formulas themselves drive
+    the position updates, so the draws select nothing), then C uniform
+    [-1, 1] vectors in sorted order, stationary bodies first.
     """
-    rng = make_rng(cfg.seed)
-    counter = EvalCounter()
-    started = time.perf_counter()
-    c = cfg.cohort_size
+    probs = selection_probabilities(cohort.phi)
+    rng.random(len(probs))
+    order = assign_roles(cohort)
+    ranked = cohort.positions[order]
+    velocities = collision_state(ranked, probs[order],
+                                 cor_epsilon(attempt, cfg.max_learning_attempts))
+    points = update_positions(ranked, velocities, problem, rng)
+    objective, violation = evaluate_rows(problem, points, counter)
+    return Cohort(points, objective, violation,
+                  phi_values(objective, violation, cfg.penalty),
+                  cohort.interval_lower, cohort.interval_upper)
 
-    cohort = initialize_cohort(problem, cfg, rng, counter)
-    best = offer(None, cohort)
 
-    trace: list[TraceRecord] = []
-    attempts = 0
-    while (attempts < cfg.max_learning_attempts
-           and counter.count + c <= cfg.max_function_evaluations):
-        probs = selection_probabilities(cohort.phi)
-        rng.random(c)   # the C follow draws; the collision picks no one to follow
-        order = assign_roles(cohort)
-        ranked = cohort.positions[order]
-        eps = cor_epsilon(attempts, cfg.max_learning_attempts)
-        state = collision_state(ranked, masses(probs[order]), eps)
-        points = update_positions(ranked, state.velocities_after, problem, rng)
-        objective, violation = evaluate_rows(problem, points, counter)
-        cohort = Cohort(points, objective, violation,
-                        phi_values(objective, violation, cfg.penalty),
-                        cohort.interval_lower, cohort.interval_upper)
-        attempts += 1
-        best = offer(best, cohort)
-        trace.append(TraceRecord(attempt=attempts, best_phi=best.phi,
-                                 best_f=best.objective,
-                                 best_violation=best.violation))
-        if run_saturated(cohort, trace, cfg.saturation_window,
-                         cfg.saturation_tolerance):
-            break
-
-    return run_result(best, counter, attempts, started, trace)
+def ci_sapf_cbo_run(problem: ProblemDefinition, cfg: CboConfig) -> RunResult:
+    """Full hybrid run: :func:`cohort.run_cohort` over
+    :func:`collision_attempt`, without restarts; costs C * (1 + attempts)
+    function evaluations."""
+    return run_cohort(problem, cfg, cfg.cohort_size, collision_attempt, False)

@@ -262,18 +262,19 @@ def _rc20() -> ProblemRecord:
     # Three-bar planar truss (Ray & Saini): minimize volume subject to
     # stress limits in each bar; load 2, allowable stress 2, span 100.
     load, stress = 2.0, 2.0
+    # Python-float quotients: a subnormal denominator gives inf, no warning
 
     def g1(x):
         denom = math.sqrt(2.0) * x[0] ** 2 + 2.0 * x[0] * x[1]
         if denom <= 0.0:
             return math.inf
-        return (math.sqrt(2.0) * x[0] + x[1]) / denom * load - stress
+        return float(math.sqrt(2.0) * x[0] + x[1]) / float(denom) * load - stress
 
     def g2(x):
         denom = math.sqrt(2.0) * x[0] ** 2 + 2.0 * x[0] * x[1]
         if denom <= 0.0:
             return math.inf
-        return x[1] / denom * load - stress
+        return float(x[1]) / float(denom) * load - stress
 
     def g3(x):
         denom = x[0] + math.sqrt(2.0) * x[1]

@@ -26,20 +26,18 @@ from cohortopt import (
     VarKind,
     ci_sapf_cbo_run,
     ci_sapf_run,
-    compute_statistics,
-    make_rng,
-    solve_once,
     suite,
 )
+from cohortopt.problem import EvalCounter, make_rng
+from cohortopt.penalty import Branch, sapf_penalty
 from cohortopt.cohort import (
-    EvalCounter,
     initialize_cohort,
     learning_attempt,
     selection_probabilities,
     shrink_interval,
 )
 from cohortopt.collision import velocity_after_moving, velocity_after_stationary
-from cohortopt.penalty import Branch, sapf_penalty
+from cohortopt.bench import compute_statistics, solve_once
 from conftest import make_problem
 
 MAX_FE_PER_RUN = 30_000

@@ -4,16 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from cohortopt import (
-    Algorithm,
-    CiConfig,
+from cohortopt import Algorithm, CiConfig, RunResult, suite
+from cohortopt.bench import (
     ExperimentConfig,
-    RunResult,
     compute_statistics,
     emit_report,
     run_experiment,
     solve_once,
-    suite,
 )
 
 

@@ -3,18 +3,15 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, strategies as st
 
-from cohortopt import (
-    CiConfig,
-    EvalCounter,
+from cohortopt import CiConfig, VarKind, ci_sapf_run
+from cohortopt.problem import EvalCounter, make_rng
+from cohortopt.cohort import (
     TraceRecord,
-    VarKind,
     check_saturation,
-    ci_sapf_run,
     cohort_spread,
     incumbent_key,
     initialize_cohort,
     learning_attempt,
-    make_rng,
     roulette_select,
     selection_probabilities,
     shrink_interval,
@@ -48,6 +45,11 @@ class TestSelectionProbabilities:
     def test_subnormal_phi_takes_all_weight(self):
         p = selection_probabilities([1e-310, 5.0])
         assert p[0] == 1.0 and p[1] == 0.0
+
+    def test_tiny_phis_whose_inverses_overflow_the_sum(self):
+        # each 1/phi is finite (8.99e307) but their sum is not
+        p = selection_probabilities([1.1125369292536007e-308] * 2)
+        assert p.tolist() == [0.5, 0.5]
 
     @given(st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=1, max_size=30))
     def test_sums_to_one_and_ranks_align(self, phis):
@@ -243,8 +245,11 @@ class TestCiSapfRun:
     def test_restart_on_saturation_respects_budget(self, floor_problem):
         cfg = CiConfig(max_function_evaluations=600, max_learning_attempts=500,
                        restart_on_saturation=True, saturation_window=5,
-                       saturation_tolerance=1e-3)
+                       saturation_tolerance=5e-2)
         result = ci_sapf_run(floor_problem, cfg)
+        # each restart spends C evaluations beyond C * (1 + t * attempts)
+        assert result.function_evaluations > cfg.cohort_size * (
+            1 + cfg.variations_per_attempt * result.learning_attempts)
         assert result.function_evaluations <= 600
 
     def test_solves_floor_problem(self, floor_problem):

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cohortopt import (
-    CboConfig,
-    Cohort,
+from cohortopt import CboConfig, ci_sapf_cbo_run
+from cohortopt.problem import make_rng
+from cohortopt.cohort import Cohort
+from cohortopt.collision import (
     assign_roles,
-    ci_sapf_cbo_run,
     collision_state,
     cor_epsilon,
-    make_rng,
-    masses,
     update_positions,
     velocity_after_moving,
     velocity_after_stationary,
-    velocity_before,
 )
 from conftest import make_problem
 
@@ -54,27 +51,16 @@ class TestAssignRoles:
             assign_roles(feasible_cohort([1.0, 2.0, 3.0]))
 
 
-class TestMasses:
-    def test_identity_mapping(self):
-        probs = [4 / 7, 2 / 7, 1 / 7]
-        assert masses(probs) == pytest.approx(probs)
-
-    def test_uniform(self):
-        assert masses([0.25] * 4) == pytest.approx([0.25] * 4)
-
-    def test_sum_preserved(self):
-        p = np.array([0.5, 0.3, 0.2])
-        assert masses(p).sum() == pytest.approx(1.0)
-
-
 class TestVelocities:
     def test_before_is_offset_from_partner(self):
-        v = velocity_before(np.array([2.0, 2.0]), np.array([1.0, 1.0]))
-        assert np.array_equal(v, np.array([1.0, 1.0]))
+        # an elastic equal-mass collision hands the mover's pre-collision
+        # velocity, its offset from its partner, to the stationary body
+        after = collision_state(np.array([[1.0, 1.0], [2.0, 2.0]]), np.full(2, 0.5), 1.0)
+        assert np.array_equal(after[0], np.array([1.0, 1.0]))
 
     def test_before_coincident_pair_is_zero(self):
-        v = velocity_before(np.array([1.0]), np.array([1.0]))
-        assert np.array_equal(v, np.zeros(1))
+        after = collision_state(np.array([[1.0], [1.0]]), np.array([0.7, 0.3]), 0.5)
+        assert np.array_equal(after, np.zeros((2, 1)))
 
     def test_moving_equal_masses_elastic_halt(self):
         v = velocity_after_moving(0.5, 0.5, np.array([3.0, -2.0]), 1.0)
@@ -138,39 +124,33 @@ class TestCorEpsilon:
 
 class TestCollisionState:
     def test_stationary_pre_velocities_are_zero(self):
+        # elastic equal masses swap the pair's pre-collision velocities:
+        # the stationary bodies take the movers' offsets and the movers
+        # take the stationary bodies' own velocities, which are zero
         ranked = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (4.0, 0.0)])
-        state = collision_state(ranked, np.array([0.4, 0.3, 0.2, 0.1]), 0.5)
-        assert np.array_equal(state.velocities_before[0], np.zeros(2))
-        assert np.array_equal(state.velocities_before[1], np.zeros(2))
-        assert np.array_equal(state.velocities_before[2], np.array([2.0, 2.0]))
-        assert np.array_equal(state.velocities_before[3], np.array([3.0, -1.0]))
-
-    def test_masses_sum_to_one(self):
-        ranked = np.arange(6, dtype=float)[:, None]
-        probs = np.full(6, 1 / 6)
-        state = collision_state(ranked, probs, 1.0)
-        assert state.masses.sum() == pytest.approx(1.0)
+        after = collision_state(ranked, np.full(4, 0.25), 1.0)
+        assert np.array_equal(after, [(2.0, 2.0), (3.0, -1.0), (0.0, 0.0), (0.0, 0.0)])
 
     def test_zero_mass_pair_exchanges_nothing(self):
         ranked = np.array([[0.0], [1.0], [5.0], [9.0]])
-        state = collision_state(ranked, np.array([0.6, 0.0, 0.4, 0.0]), 1.0)
-        assert np.array_equal(state.velocities_after[1], np.zeros(1))
-        assert np.array_equal(state.velocities_after[3], np.zeros(1))
+        after = collision_state(ranked, np.array([0.6, 0.0, 0.4, 0.0]), 1.0)
+        assert np.array_equal(after[1], np.zeros(1))
+        assert np.array_equal(after[3], np.zeros(1))
         # the live pair still collides
-        assert state.velocities_after[0] == pytest.approx([4.0])
-        assert state.velocities_after[2] == pytest.approx([-1.0])
+        assert after[0] == pytest.approx([4.0])
+        assert after[2] == pytest.approx([-1.0])
 
     def test_pairs_match_the_scalar_formulas(self):
         rng = make_rng(3)
         ranked = rng.uniform(-5, 5, (6, 3))
         probs = rng.random(6)
         probs /= probs.sum()
-        state = collision_state(ranked, probs, 0.3)
+        after = collision_state(ranked, probs, 0.3)
         for k in range(3):
-            v = velocity_before(ranked[k + 3], ranked[k])
-            assert np.array_equal(state.velocities_after[k],
+            v = ranked[k + 3] - ranked[k]
+            assert np.array_equal(after[k],
                                   velocity_after_stationary(probs[k + 3], probs[k], v, 0.3))
-            assert np.array_equal(state.velocities_after[k + 3],
+            assert np.array_equal(after[k + 3],
                                   velocity_after_moving(probs[k + 3], probs[k], v, 0.3))
 
 

@@ -14,21 +14,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohortopt import (
-    EvalCounter,
     EvaluationFaultError,
     NegativeMode,
     PenaltyConfig,
     VarKind,
+    suite,
+)
+from cohortopt.problem import (
+    EvalCounter,
     clip_to_bounds,
     evaluate,
     evaluate_rows,
-    phi_values,
-    score,
+)
+from cohortopt.penalty import phi_values, score
+from cohortopt.cohort import (
+    roulette_indices,
+    roulette_select,
     selection_probabilities,
     shrink_interval,
-    suite,
 )
-from cohortopt.cohort import roulette_indices, roulette_select
 from conftest import make_problem
 
 INF = math.inf

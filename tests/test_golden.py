@@ -30,9 +30,9 @@ from cohortopt import (
     NegativeMode,
     PenaltyConfig,
     VarKind,
-    solve_once,
     suite,
 )
+from cohortopt.bench import solve_once
 from conftest import make_problem
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")

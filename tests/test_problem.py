@@ -6,17 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from cohortopt import (
     Bounds,
-    ConstraintEvaluation,
     DimensionMismatchError,
-    EvalCounter,
     EvaluationFaultError,
     VarKind,
+    suite,
+)
+from cohortopt.problem import (
+    ConstraintEvaluation,
+    EvalCounter,
     clip_to_bounds,
     equality_violation,
     evaluate,
     integer_index,
     make_rng,
-    suite,
     total_violation,
 )
 from conftest import make_problem

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from cohortopt import Category, UnknownProblemError, evaluate, suite
+from cohortopt import UnknownProblemError, suite
+from cohortopt.problem import Category, evaluate
 
 # Catalog rows: dimension, inequality count, equality count, best known.
 CATALOG = {
@@ -53,6 +54,13 @@ class TestFormulationSelfCheck:
         assert ev.feasible
         ref = rec.reference_objective
         assert abs(ev.objective - ref) <= max(1e-3 * abs(ref), 1e-8)
+
+    def test_rc20_subnormal_denominator_overflows_to_inf(self):
+        # g1 and g2 divide by sqrt(2) x0^2 + 2 x0 x1, here 4.4e-313
+        g1, g2, g3 = suite.get_problem("RC20").inequality_fns
+        x = np.array([2.2e-313, 1.0])
+        assert g1(x) == np.inf and g2(x) == np.inf
+        assert np.isfinite(g3(x))
 
 
 class TestLookup:

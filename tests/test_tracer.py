@@ -1,0 +1,44 @@
+"""Guard for the benchmark's external tracer (``perfbench/tracer.py``).
+
+The tracer rebinds names in the package's modules where the engines look
+them up. A refactor that renames one of those names, or binds it so that
+the engines no longer look it up at call time, breaks ``--trace 1``
+without failing any other test.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from cohortopt import Algorithm, CboConfig, CiConfig, suite
+from cohortopt.bench import solve_once
+from test_golden import fingerprint
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+def test_every_patch_point_resolves():
+    for module, attr, _ in tracing.PATCH_POINTS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("algorithm, solver, step_span", [
+    (Algorithm.CI_SAPF, CiConfig(max_function_evaluations=300), "cohort.learning_attempt"),
+    (Algorithm.CI_SAPF_CBO, CboConfig(max_function_evaluations=300),
+     "collision.collision_state"),
+], ids=["ci-sapf", "ci-sapf-cbo"])
+def test_traced_run_is_bit_identical(algorithm, solver, step_span):
+    problem = suite.get_problem("RC20")
+    plain = solve_once(problem, algorithm, solver, 0)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = solve_once(tracer.problem(problem), algorithm, solver, 0)
+    assert fingerprint(traced) == fingerprint(plain)
+    # one span per learning attempt: the engines called the rebound names
+    assert tracer.calls[step_span] == plain.learning_attempts
+    assert tracer.calls["cohort.run_saturated"] == plain.learning_attempts
+    assert tracer.calls["suite.fn"] == 4 * plain.function_evaluations
