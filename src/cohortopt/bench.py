@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -48,7 +48,6 @@ class ExperimentConfig:
     solver: SolverConfig
     runs: int = 30
     base_seed: int = 0
-    output_dir: Optional[Path] = None
 
     def __post_init__(self):
         object.__setattr__(self, "problem_ids", tuple(self.problem_ids))
@@ -60,18 +59,6 @@ class ExperimentConfig:
             raise ValueError("ci-sapf needs a CiConfig")
         if self.algorithm is Algorithm.CI_SAPF_CBO and not isinstance(self.solver, CboConfig):
             raise ValueError("ci-sapf-cbo needs a CboConfig")
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    run: int
-    seed: int
-    objective: float
-    violation: float
-    feasible: bool
-    function_evaluations: int
-    learning_attempts: int
-    wall_time: float
 
 
 @dataclass
@@ -92,15 +79,17 @@ class RunStatistics:
     violation_best: float
     violation_mean: float
     violation_worst: float
-    per_run: list[RunRecord] = field(default_factory=list)
 
 
 @dataclass
 class ExperimentOutcome:
+    """One problem's runs; run i used seed ``base_seed + i``."""
+
     problem_id: str
     algorithm: Algorithm
     statistics: RunStatistics
     results: list[RunResult]
+    base_seed: int
 
 
 def solve_once(problem: ProblemDefinition, algorithm: Algorithm,
@@ -112,7 +101,7 @@ def solve_once(problem: ProblemDefinition, algorithm: Algorithm,
 
 
 def compute_statistics(results: Sequence[RunResult], problem_id: str,
-                       algorithm: str, base_seed: int = 0) -> RunStatistics:
+                       algorithm: str) -> RunStatistics:
     """Aggregate a batch of runs into one summary row.
 
     With zero feasible runs the objective fields are None (reported as
@@ -133,14 +122,6 @@ def compute_statistics(results: Sequence[RunResult], problem_id: str,
     else:
         best = median = mean = worst = std = None
 
-    per_run = [RunRecord(run=i, seed=base_seed + i,
-                         objective=r.best_objective,
-                         violation=r.best_violation, feasible=r.feasible,
-                         function_evaluations=r.function_evaluations,
-                         learning_attempts=r.learning_attempts,
-                         wall_time=r.wall_time)
-               for i, r in enumerate(results)]
-
     return RunStatistics(
         problem_id=problem_id, algorithm=algorithm, runs=len(results),
         feasible_runs=len(feasible),
@@ -151,8 +132,7 @@ def compute_statistics(results: Sequence[RunResult], problem_id: str,
         avg_time=float(np.mean([r.wall_time for r in results])),
         violation_best=float(violations.min()),
         violation_mean=float(violations.mean()),
-        violation_worst=float(violations.max()),
-        per_run=per_run)
+        violation_worst=float(violations.max()))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentOutcome]:
@@ -168,11 +148,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentOutcome]:
         results = [solve_once(problem, cfg.algorithm, cfg.solver,
                               cfg.base_seed + i)
                    for i in range(cfg.runs)]
-        stats = compute_statistics(results, pid, cfg.algorithm.value,
-                                   cfg.base_seed)
+        stats = compute_statistics(results, pid, cfg.algorithm.value)
         outcomes.append(ExperimentOutcome(problem_id=pid,
                                           algorithm=cfg.algorithm,
-                                          statistics=stats, results=results))
+                                          statistics=stats, results=results,
+                                          base_seed=cfg.base_seed))
     return outcomes
 
 
@@ -231,14 +211,14 @@ def emit_report(outcomes: Sequence[ExperimentOutcome],
             {**{k: (v if not isinstance(v, float) else float(_fmt(v)))
                 for k, v in _stats_row(o.statistics).items()},
              "per_run": [
-                 {"run": r.run, "seed": r.seed,
-                  "objective": float(_fmt(r.objective)),
-                  "violation": float(_fmt(r.violation)),
+                 {"run": i, "seed": o.base_seed + i,
+                  "objective": float(_fmt(r.best_objective)),
+                  "violation": float(_fmt(r.best_violation)),
                   "feasible": r.feasible,
                   "function_evaluations": r.function_evaluations,
                   "learning_attempts": r.learning_attempts,
                   "wall_time": float(_fmt(r.wall_time))}
-                 for r in o.statistics.per_run]}
+                 for i, r in enumerate(o.results)]}
             for o in ordered],
     }
     _write_text(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

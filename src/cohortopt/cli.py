@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 try:
@@ -19,17 +21,22 @@ try:
 except ImportError:
     tomllib = None
 
-from .bench import Algorithm, ExperimentConfig, emit_report, run_experiment
+from .bench import (Algorithm, ExperimentConfig, SolverConfig, emit_report,
+                    run_experiment)
 from .cohort import CiConfig
 from .collision import CboConfig
 from .penalty import NegativeMode, PenaltyConfig
 from .problem import Category
 from . import suite
 
-_SOLVER_KEYS = ("runs", "seed", "candidates", "reduction_factor", "variations",
-                "max_fe", "max_attempts", "negative_mode",
-                "near_zero_threshold", "int_offset", "infinity_substitute",
-                "saturation_window", "saturation_tolerance")
+# Config fields whose flag has another name
+_FIELD_OF_KEY = {"seed": "base_seed", "candidates": "cohort_size",
+                 "variations": "variations_per_attempt",
+                 "max_fe": "max_function_evaluations",
+                 "max_attempts": "max_learning_attempts"}
+_PENALTY_FIELDS = {f.name for f in fields(PenaltyConfig)}
+# A quoted string value, optionally followed by a comment
+_QUOTED = re.compile(r"""("[^"]*"|'[^']*')\s*(#.*)?""")
 
 
 def _parse_flat_toml(text: str, path: str) -> dict:
@@ -50,9 +57,10 @@ def _parse_flat_toml(text: str, path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
+        quoted = _QUOTED.fullmatch(value.strip())
         value = value.split("#", 1)[0].strip()
-        if value.startswith(('"', "'")) and value.endswith(value[0]) and len(value) >= 2:
-            out[key] = value[1:-1]
+        if quoted:
+            out[key] = quoted.group(1)[1:-1]
         elif value in ("true", "false"):
             out[key] = value == "true"
         else:
@@ -80,18 +88,26 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--runs", type=int, help="independent runs per problem (default 30)")
-    parser.add_argument("--seed", type=int, help="base seed; run i uses seed + i (default 0)")
+    parser.add_argument("--runs", type=int,
+                        help=f"independent runs per problem (default {ExperimentConfig.runs})")
+    parser.add_argument("--seed", type=int,
+                        help="base seed; run i uses seed + i "
+                             f"(default {ExperimentConfig.base_seed})")
     parser.add_argument("--candidates", type=int,
-                        help="cohort size (default 5 for ci-sapf, 6 for ci-sapf-cbo)")
+                        help=f"cohort size (default {CiConfig.cohort_size} for ci-sapf, "
+                             f"{CboConfig.cohort_size} for ci-sapf-cbo)")
     parser.add_argument("--reduction-factor", type=float, dest="reduction_factor",
-                        help="sampling interval reduction factor, ci-sapf only (default 0.95)")
+                        help="sampling interval reduction factor, ci-sapf only "
+                             f"(default {CiConfig.reduction_factor})")
     parser.add_argument("--variations", type=int,
-                        help="resamples per candidate per attempt, ci-sapf only (default 1)")
+                        help="resamples per candidate per attempt, ci-sapf only "
+                             f"(default {CiConfig.variations_per_attempt})")
     parser.add_argument("--max-fe", type=int, dest="max_fe",
-                        help="function evaluation budget per run (default 30000)")
+                        help="function evaluation budget per run "
+                             f"(default {CiConfig.max_function_evaluations})")
     parser.add_argument("--max-attempts", type=int, dest="max_attempts",
-                        help="learning attempt budget per run (default 2000)")
+                        help="learning attempt budget per run "
+                             f"(default {CiConfig.max_learning_attempts})")
     parser.add_argument("--negative-mode", choices=["literal", "shift"],
                         dest="negative_mode",
                         help="pseudo-objective treatment of negative objectives")
@@ -102,11 +118,13 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--infinity-substitute", type=float, dest="infinity_substitute",
                         help="stand-in objective value for infinite objectives")
     parser.add_argument("--saturation-window", type=int, dest="saturation_window",
-                        help="attempts without improvement before stopping (default 20)")
+                        help="attempts without improvement before stopping "
+                             f"(default {CiConfig.saturation_window})")
     parser.add_argument("--saturation-tolerance", type=float, dest="saturation_tolerance",
-                        help="phi range counted as no improvement (default 1e-6)")
+                        help="phi range counted as no improvement "
+                             f"(default {CiConfig.saturation_tolerance:g})")
     parser.add_argument("--config", help="TOML or JSON file supplying any of these keys")
-    parser.add_argument("--out", required=True, help="report output directory")
+    parser.add_argument("--out", help="report output directory (required)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,40 +151,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_options(args: argparse.Namespace, keys) -> dict:
-    """File values first, explicit CLI flags override them."""
+def _merged_options(args: argparse.Namespace) -> dict:
+    """File values first, explicit CLI flags override them.
+
+    The keys a file may hold are the subcommand's own flags.
+    """
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_values = load_config_file(args.config)
-        unknown = set(file_values) - set(keys)
+        unknown = set(file_values) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
         merged.update(file_values)
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    merged.update((k, v) for k, v in flags.items() if v is not None)
     return merged
 
 
-def _build_solver(algorithm: Algorithm, opts: dict):
-    penalty = PenaltyConfig(
-        near_zero_threshold=opts.get("near_zero_threshold", 1.0),
-        int_offset=opts.get("int_offset", 1.0),
-        infinity_substitute=opts.get("infinity_substitute", 1.0),
-        negative_mode=NegativeMode(opts.get("negative_mode", "literal")))
-    common = dict(
-        max_learning_attempts=opts.get("max_attempts", 2000),
-        max_function_evaluations=opts.get("max_fe", 30000),
-        saturation_window=opts.get("saturation_window", 20),
-        saturation_tolerance=opts.get("saturation_tolerance", 1e-6),
-        penalty=penalty)
-    if algorithm is Algorithm.CI_SAPF:
-        return CiConfig(cohort_size=opts.get("candidates", 5),
-                        reduction_factor=opts.get("reduction_factor", 0.95),
-                        variations_per_attempt=opts.get("variations", 1),
-                        **common)
-    return CboConfig(cohort_size=opts.get("candidates", 6), **common)
+def _build_solver(algorithm: Algorithm, opts: dict) -> SolverConfig:
+    """The engine's config from the solver keys given; every key left out
+    takes the config dataclass's default."""
+    config_type = CiConfig if algorithm is Algorithm.CI_SAPF else CboConfig
+    solver_fields = {f.name for f in fields(config_type)}
+    solver, penalty = {}, {}
+    for key, value in opts.items():
+        name = _FIELD_OF_KEY.get(key, key)
+        if name in _PENALTY_FIELDS:
+            penalty[name] = NegativeMode(value) if name == "negative_mode" else value
+        elif name in solver_fields:
+            solver[name] = value
+        else:
+            raise ValueError(f"{key} (--{key.replace('_', '-')}) does not apply "
+                             f"to {algorithm.value}")
+    return config_type(penalty=PenaltyConfig(**penalty), **solver)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -180,50 +197,42 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_problems(args: argparse.Namespace, problem_ids: list[str]) -> int:
-    opts = _merged_options(args, _SOLVER_KEYS + ("algo", "problem", "out", "category"))
-    algo_name = opts.get("algo")
-    if not algo_name:
-        raise ValueError("--algo is required (flag or config file)")
-    algorithm = Algorithm(algo_name)
-    solver = _build_solver(algorithm, opts)
-    cfg = ExperimentConfig(algorithm=algorithm,
-                           problem_ids=tuple(problem_ids),
-                           solver=solver,
-                           runs=opts.get("runs", 30),
-                           base_seed=opts.get("seed", 0),
-                           output_dir=Path(opts["out"]))
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """``run`` (one problem) and ``suite`` (every problem of a category)."""
+    opts = _merged_options(args)
+    required = ("algo", "problem", "out") if args.command == "run" else ("algo", "out")
+    for key in required:
+        if not opts.get(key):
+            raise ValueError(f"--{key} is required (flag or config file)")
+    algorithm = Algorithm(opts.pop("algo"))
+    out = Path(opts.pop("out"))
+    if args.command == "run":
+        problem_ids = (opts.pop("problem"),)
+    else:
+        category = opts.pop("category", None)
+        records = suite.list_problems(Category(category) if category else None)
+        if not records:
+            raise ValueError("no registered problems match the category filter")
+        problem_ids = tuple(r.suite_id for r in records)
+    experiment = {_FIELD_OF_KEY.get(k, k): opts.pop(k)
+                  for k in ("runs", "seed") if k in opts}
+    cfg = ExperimentConfig(algorithm=algorithm, problem_ids=problem_ids,
+                           solver=_build_solver(algorithm, opts), **experiment)
     outcomes = run_experiment(cfg)
-    files = emit_report(outcomes, cfg.output_dir)
+    files = emit_report(outcomes, out)
     for outcome in outcomes:
         s = outcome.statistics
         shown = "infeasible" if s.best is None else f"best={s.best:.10g}"
         print(f"{s.problem_id} [{s.algorithm}] runs={s.runs} fr={s.fr:.4g}% "
               f"{shown} mcv={s.mcv:.4g} avg_fe={s.avg_fe:.6g}")
-    print(f"wrote {len(files)} files to {cfg.output_dir}")
+    print(f"wrote {len(files)} files to {out}")
     return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    opts = _merged_options(args, _SOLVER_KEYS + ("algo", "problem", "out"))
-    pid = opts.get("problem")
-    if not pid:
-        raise ValueError("--problem is required (flag or config file)")
-    return _run_problems(args, [pid])
-
-
-def _cmd_suite(args: argparse.Namespace) -> int:
-    category = Category(args.category) if getattr(args, "category", None) else None
-    records = suite.list_problems(category)
-    if not records:
-        raise ValueError("no registered problems match the category filter")
-    return _run_problems(args, [r.suite_id for r in records])
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {"list": _cmd_list, "run": _cmd_run, "suite": _cmd_suite}
+    handlers = {"list": _cmd_list, "run": _cmd_experiment, "suite": _cmd_experiment}
     try:
         return handlers[args.command](args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

@@ -108,7 +108,11 @@ class RunResult:
 def incumbent_key(objective: float, violation: float, phi: float) -> tuple:
     """Ordering for the run incumbent: feasible (zero violation) beats
     infeasible, then lower objective among feasible, lower violation among
-    infeasible, ties broken by lower phi."""
+    infeasible, ties broken by lower phi.
+
+    The raw objective is ranked, so a feasible objective of -inf ranks
+    first and is reported as -inf; only its phi uses the penalty's
+    ``infinity_substitute``."""
     if violation == 0.0:
         return (0, objective, phi)
     return (1, violation, phi)

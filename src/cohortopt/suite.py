@@ -1,10 +1,10 @@
 """Benchmark problem registry.
 
 Classic constrained engineering and process design problems in their
-standard published formulations, each carrying the catalog metadata
-(dimension, constraint counts, best known value) used by the experiment
-driver and the validation tests. Formulation provenance is noted per
-entry. ``optimum_hint`` is a strictly feasible point at or near the
+standard published formulations. Each definition states its catalog
+metadata (id, name, category, best known value; dimension and constraint
+counts follow from it). Formulation provenance is noted per entry.
+``optimum_hint`` is a strictly feasible point at or near the
 formulation's optimum used by self-checks; ``reference_objective`` is the
 objective value this formulation attains there (it equals ``best_known``
 except where noted).
@@ -38,44 +38,39 @@ class UnknownProblemError(KeyError):
 
 @dataclass(frozen=True)
 class ProblemRecord:
-    suite_id: str
-    name: str
-    category: Category
-    dimension: int
-    inequality_count: int
-    equality_count: int
-    best_known: float
+    """A registered problem: its definition plus the self-check point.
+
+    ``reference_objective`` defaults to the definition's ``best_known``.
+    """
+
     definition: ProblemDefinition
-    optimum_hint: Optional[tuple[float, ...]]
-    reference_objective: float
+    optimum_hint: tuple[float, ...]
+    reference_objective: Optional[float] = None
+
+    def __post_init__(self):
+        if self.reference_objective is None:
+            object.__setattr__(self, "reference_objective",
+                               self.definition.best_known)
+
+    @property
+    def suite_id(self) -> str:
+        return self.definition.id
 
     def metadata(self) -> dict:
+        d = self.definition
         return {
-            "id": self.suite_id,
-            "name": self.name,
-            "category": self.category.value,
-            "dimension": self.dimension,
-            "inequality_count": self.inequality_count,
-            "equality_count": self.equality_count,
-            "best_known": self.best_known,
+            "id": d.id,
+            "name": d.name,
+            "category": d.category.value,
+            "dimension": d.dimension,
+            "inequality_count": len(d.inequality_fns),
+            "equality_count": len(d.equality_fns),
+            "best_known": d.best_known,
             "bounds": {
-                "lower": self.definition.bounds.lower.tolist(),
-                "upper": self.definition.bounds.upper.tolist(),
+                "lower": d.bounds.lower.tolist(),
+                "upper": d.bounds.upper.tolist(),
             },
         }
-
-
-def _record(suite_id, name, category, best_known, definition, optimum_hint,
-            reference_objective=None) -> ProblemRecord:
-    return ProblemRecord(
-        suite_id=suite_id, name=name, category=category,
-        dimension=definition.dimension,
-        inequality_count=len(definition.inequality_fns),
-        equality_count=len(definition.equality_fns),
-        best_known=best_known, definition=definition,
-        optimum_hint=optimum_hint,
-        reference_objective=(best_known if reference_objective is None
-                             else reference_objective))
 
 
 # --------------------------------------------------------------------------
@@ -96,9 +91,7 @@ def _rc08() -> ProblemRecord:
             lambda x: x[0] + x[1] - 1.6,
         ),
         category=Category.PROCESS_SYNTHESIS, best_known=2.0)
-    return _record("RC08", "Process synthesis problem",
-                   Category.PROCESS_SYNTHESIS, 2.0, definition,
-                   optimum_hint=(0.5, 1.0))
+    return ProblemRecord(definition, optimum_hint=(0.5, 1.0))
 
 
 def _rc10() -> ProblemRecord:
@@ -114,9 +107,7 @@ def _rc10() -> ProblemRecord:
             lambda x: x[0] - x[2] - 0.2,
         ),
         category=Category.PROCESS_SYNTHESIS, best_known=1.0765430833)
-    return _record("RC10", "Process flow sheeting problem",
-                   Category.PROCESS_SYNTHESIS, 1.0765430833, definition,
-                   optimum_hint=(0.9419373448, -2.1, 1.0))
+    return ProblemRecord(definition, optimum_hint=(0.9419373448, -2.1, 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -156,11 +147,10 @@ def _rc15() -> ProblemRecord:
             lambda x: (1.1 * x[6] + 1.9) / x[4] - 1.0,
         ),
         category=Category.MECHANICAL, best_known=2994.4244658)
-    return _record("RC15", "Weight Minimization of a Speed Reducer",
-                   Category.MECHANICAL, 2994.4244658, definition,
-                   optimum_hint=(3.50000015, 0.7, 17.0, 7.3, 7.7153201,
-                                 3.35021475, 5.2866546),
-                   reference_objective=2994.4710662)
+    return ProblemRecord(definition,
+                         optimum_hint=(3.50000015, 0.7, 17.0, 7.3, 7.7153201,
+                                       3.35021475, 5.2866546),
+                         reference_objective=2994.4710662)
 
 
 def _rc17() -> ProblemRecord:
@@ -186,9 +176,7 @@ def _rc17() -> ProblemRecord:
             lambda x: 1.0 - 140.45 * x[0] / (x[1] ** 2 * x[2]),
         ),
         category=Category.MECHANICAL, best_known=0.012665232788)
-    return _record("RC17", "Tension/compression spring design (case 1)",
-                   Category.MECHANICAL, 0.012665232788, definition,
-                   optimum_hint=(0.0516891, 0.356718, 11.2891))
+    return ProblemRecord(definition, optimum_hint=(0.0516891, 0.356718, 11.2891))
 
 
 def _rc18() -> ProblemRecord:
@@ -211,9 +199,8 @@ def _rc18() -> ProblemRecord:
             lambda x: x[3] - 240.0,
         ),
         category=Category.MECHANICAL, best_known=5885.3327736)
-    return _record("RC18", "Pressure vessel design", Category.MECHANICAL,
-                   5885.3327736, definition,
-                   optimum_hint=(0.77817, 0.38465, 40.3196402, 200.0))
+    return ProblemRecord(definition,
+                         optimum_hint=(0.77817, 0.38465, 40.3196402, 200.0))
 
 
 def _rc19() -> ProblemRecord:
@@ -252,10 +239,9 @@ def _rc19() -> ProblemRecord:
             lambda x: P - buckling(x),
         ),
         category=Category.MECHANICAL, best_known=1.6702177263)
-    return _record("RC19", "Welded beam design", Category.MECHANICAL,
-                   1.6702177263, definition,
-                   optimum_hint=(0.2057298, 3.4704890, 9.0366241, 0.2057298),
-                   reference_objective=1.7248523086)
+    return ProblemRecord(definition,
+                         optimum_hint=(0.2057298, 3.4704890, 9.0366241, 0.2057298),
+                         reference_objective=1.7248523086)
 
 
 def _rc20() -> ProblemRecord:
@@ -289,9 +275,7 @@ def _rc20() -> ProblemRecord:
         objective_fn=lambda x: (2.0 * math.sqrt(2.0) * x[0] + x[1]) * 100.0,
         inequality_fns=(g1, g2, g3),
         category=Category.MECHANICAL, best_known=263.89584338)
-    return _record("RC20", "Three-bar truss design problem",
-                   Category.MECHANICAL, 263.89584338, definition,
-                   optimum_hint=(0.78867526, 0.40824833))
+    return ProblemRecord(definition, optimum_hint=(0.78867526, 0.40824833))
 
 
 def _rc21() -> ProblemRecord:
@@ -332,9 +316,7 @@ def _rc21() -> ProblemRecord:
             lambda x: s_f * ms - _disk(x)[2],
         ),
         category=Category.MECHANICAL, best_known=0.2352424579)
-    return _record("RC21", "Multiple disk clutch brake design problem",
-                   Category.MECHANICAL, 0.2352424579, definition,
-                   optimum_hint=(70.0, 90.0, 1.0, 1000.0, 2.0))
+    return ProblemRecord(definition, optimum_hint=(70.0, 90.0, 1.0, 1000.0, 2.0))
 
 
 def _rc31() -> ProblemRecord:
@@ -355,8 +337,7 @@ def _rc31() -> ProblemRecord:
         inequality_fns=(lambda x: ratio(x) - 1.0,),
         equality_fns=(lambda x: ratio(x) - target,),
         category=Category.MECHANICAL, best_known=0.0)
-    return _record("RC31", "Gear train design Problem", Category.MECHANICAL,
-                   0.0, definition, optimum_hint=(49.0, 19.0, 43.0, 16.0))
+    return ProblemRecord(definition, optimum_hint=(49.0, 19.0, 43.0, 16.0))
 
 
 def _rc32() -> ProblemRecord:
@@ -390,16 +371,13 @@ def _rc32() -> ProblemRecord:
             lambda x: 20.0 - u3(x),
         ),
         category=Category.MECHANICAL, best_known=-30665.538672)
-    return _record("RC32", "Himmelblau's Function", Category.MECHANICAL,
-                   -30665.538672, definition,
-                   optimum_hint=(78.0, 33.0, 29.9952565, 45.0, 36.7758129))
+    return ProblemRecord(definition,
+                         optimum_hint=(78.0, 33.0, 29.9952565, 45.0, 36.7758129))
 
 
 _BUILDERS = (_rc08, _rc10, _rc15, _rc17, _rc18, _rc19, _rc20, _rc21, _rc31, _rc32)
-_REGISTRY: dict[str, ProblemRecord] = {}
-for _build in _BUILDERS:
-    _rec = _build()
-    _REGISTRY[_rec.suite_id] = _rec
+_REGISTRY: dict[str, ProblemRecord] = {
+    rec.suite_id: rec for rec in (build() for build in _BUILDERS)}
 
 
 def get_record(suite_id: str) -> ProblemRecord:
@@ -418,7 +396,7 @@ def list_problems(category: Optional[Category] = None) -> list[ProblemRecord]:
     """All records in stable suite-id order, optionally filtered."""
     records = sorted(_REGISTRY.values(), key=lambda r: r.suite_id)
     if category is not None:
-        records = [r for r in records if r.category is category]
+        records = [r for r in records if r.definition.category is category]
     return records
 
 

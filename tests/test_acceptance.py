@@ -63,7 +63,7 @@ def run_batch(problem, algorithm, solver):
     elapsed = time.perf_counter() - started
     assert elapsed < MAX_SECONDS, f"experiment exceeded {MAX_SECONDS}s"
     assert max(r.function_evaluations for r in results) <= MAX_FE_PER_RUN
-    return compute_statistics(results, problem.id, algorithm.value, BASE_SEED)
+    return compute_statistics(results, problem.id, algorithm.value)
 
 
 def verdict(criterion, ok, detail):

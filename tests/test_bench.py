@@ -7,6 +7,7 @@ import pytest
 from cohortopt import Algorithm, CiConfig, RunResult, suite
 from cohortopt.bench import (
     ExperimentConfig,
+    ExperimentOutcome,
     compute_statistics,
     emit_report,
     run_experiment,
@@ -76,36 +77,34 @@ class TestComputeStatistics:
 SMALL = CiConfig(max_learning_attempts=8, max_function_evaluations=200)
 
 
-def small_experiment(tmp_path, runs=2, problem_ids=("RC20",)):
+def small_experiment(runs=2, problem_ids=("RC20",)):
     return ExperimentConfig(algorithm=Algorithm.CI_SAPF, problem_ids=problem_ids,
-                            solver=SMALL, runs=runs, base_seed=11,
-                            output_dir=tmp_path)
+                            solver=SMALL, runs=runs, base_seed=11)
 
 
 class TestRunExperiment:
-    def test_seed_fanout_reproduces_individual_runs(self, tmp_path):
-        cfg = small_experiment(tmp_path, runs=3)
-        outcomes = run_experiment(cfg)
-        stats = outcomes[0].statistics
-        assert [r.seed for r in stats.per_run] == [11, 12, 13]
+    def test_seed_fanout_reproduces_individual_runs(self):
+        outcome, = run_experiment(small_experiment(runs=3))
+        assert outcome.base_seed == 11
+        assert len(outcome.results) == 3
         problem = suite.get_problem("RC20")
-        for record in stats.per_run:
-            alone = solve_once(problem, Algorithm.CI_SAPF, SMALL, record.seed)
-            assert alone.best_objective == record.objective
+        for i, result in enumerate(outcome.results):
+            alone = solve_once(problem, Algorithm.CI_SAPF, SMALL, 11 + i)
+            assert alone.best_objective == result.best_objective
 
-    def test_deterministic_across_invocations(self, tmp_path):
-        cfg = small_experiment(tmp_path)
+    def test_deterministic_across_invocations(self):
+        cfg = small_experiment()
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         # everything except wall-clock timing reproduces exactly
-        for ra, rb in zip(a[0].statistics.per_run, b[0].statistics.per_run):
-            assert (ra.seed, ra.objective, ra.violation, ra.feasible,
+        for ra, rb in zip(a[0].results, b[0].results):
+            assert (ra.best_objective, ra.best_violation, ra.feasible,
                     ra.function_evaluations, ra.learning_attempts) == \
-                   (rb.seed, rb.objective, rb.violation, rb.feasible,
+                   (rb.best_objective, rb.best_violation, rb.feasible,
                     rb.function_evaluations, rb.learning_attempts)
 
-    def test_unknown_problem_raises(self, tmp_path):
-        cfg = small_experiment(tmp_path, problem_ids=("RC77",))
+    def test_unknown_problem_raises(self):
+        cfg = small_experiment(problem_ids=("RC77",))
         with pytest.raises(KeyError):
             run_experiment(cfg)
 
@@ -122,8 +121,7 @@ class TestRunExperiment:
 
 class TestEmitReport:
     def test_file_inventory(self, tmp_path):
-        outcomes = run_experiment(small_experiment(tmp_path / "r", runs=2,
-                                                   problem_ids=("RC20", "RC08")))
+        outcomes = run_experiment(small_experiment(runs=2, problem_ids=("RC20", "RC08")))
         files = emit_report(outcomes, tmp_path / "r")
         names = sorted(p.name for p in files)
         assert "summary.csv" in names
@@ -135,7 +133,7 @@ class TestEmitReport:
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         # the writer stamps nothing: same outcomes give the same bytes
-        outcomes = run_experiment(small_experiment(tmp_path / "a"))
+        outcomes = run_experiment(small_experiment())
         emit_report(outcomes, tmp_path / "a")
         first = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
         emit_report(outcomes, tmp_path / "a")
@@ -143,7 +141,7 @@ class TestEmitReport:
         assert first == second
 
     def test_rerun_reproduces_all_nontiming_content(self, tmp_path):
-        cfg = small_experiment(tmp_path / "a2")
+        cfg = small_experiment()
         emit_report(run_experiment(cfg), tmp_path / "a2" / "one")
         emit_report(run_experiment(cfg), tmp_path / "a2" / "two")
 
@@ -161,7 +159,7 @@ class TestEmitReport:
         assert trace_a == trace_b
 
     def test_summary_csv_round_trip(self, tmp_path):
-        outcomes = run_experiment(small_experiment(tmp_path / "b"))
+        outcomes = run_experiment(small_experiment())
         emit_report(outcomes, tmp_path / "b")
         lines = (tmp_path / "b" / "summary.csv").read_text().splitlines()
         assert lines[0].startswith("#")
@@ -177,28 +175,34 @@ class TestEmitReport:
             assert float(row[col]) == pytest.approx(value, rel=1e-9)
 
     def test_summary_json_structure(self, tmp_path):
-        outcomes = run_experiment(small_experiment(tmp_path / "c", runs=2))
+        outcomes = run_experiment(small_experiment(runs=2, problem_ids=("RC20", "RC08")))
         emit_report(outcomes, tmp_path / "c")
         payload = json.loads((tmp_path / "c" / "summary.json").read_text())
-        assert len(payload["problems"]) == 1
-        entry = payload["problems"][0]
-        assert entry["problem"] == "RC20"
-        assert len(entry["per_run"]) == 2
-        assert entry["per_run"][0]["seed"] == 11
+        assert [p["problem"] for p in payload["problems"]] == ["RC08", "RC20"]
+        per_run = {p["problem"]: p["per_run"] for p in payload["problems"]}
+        for outcome in outcomes:
+            # one row per result, run i at seed base_seed + i
+            assert per_run[outcome.problem_id] == [
+                {"run": i, "seed": 11 + i,
+                 "objective": float(f"{r.best_objective:.10g}"),
+                 "violation": float(f"{r.best_violation:.10g}"),
+                 "feasible": r.feasible,
+                 "function_evaluations": r.function_evaluations,
+                 "learning_attempts": r.learning_attempts,
+                 "wall_time": float(f"{r.wall_time:.10g}")}
+                for i, r in enumerate(outcome.results)]
 
     def test_infeasible_rows_are_labelled(self, tmp_path):
         results = [run_result(5.0, violation=0.5)]
         stats = compute_statistics(results, "RC20", "ci-sapf")
-        outcome = type("O", (), {})()
-        from cohortopt.bench import ExperimentOutcome
         outcome = ExperimentOutcome(problem_id="RC20", algorithm=Algorithm.CI_SAPF,
-                                    statistics=stats, results=results)
+                                    statistics=stats, results=results, base_seed=0)
         emit_report([outcome], tmp_path / "d")
         text = (tmp_path / "d" / "summary.csv").read_text()
         assert "infeasible" in text
 
     def test_trace_best_phi_never_worsens(self, tmp_path):
-        outcomes = run_experiment(small_experiment(tmp_path / "e"))
+        outcomes = run_experiment(small_experiment())
         emit_report(outcomes, tmp_path / "e")
         trace = (tmp_path / "e" / "trace_RC20_0.csv").read_text().splitlines()
         assert trace[0] == "attempt,best_phi,best_f,best_violation"

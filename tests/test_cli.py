@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from cohortopt import Algorithm, CboConfig, CiConfig, NegativeMode, PenaltyConfig, suite
+from cohortopt import cli
+from cohortopt.bench import ExperimentConfig
 from cohortopt.cli import _parse_flat_toml, load_config_file, main
 
 
@@ -83,6 +86,90 @@ class TestRun:
         assert code == 1
         assert "problem" in err
 
+    def test_missing_out_errors(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--algo", "ci-sapf", "--problem", "RC20")
+        assert code == 1
+        assert "error: --out is required" in err
+
+    @pytest.mark.parametrize("key, value", [("reduction_factor", 0.7), ("variations", 3)])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_ci_sapf_only_key_rejected_for_cbo(self, capsys, tmp_path, key, value, source):
+        argv = ["run", "--algo", "ci-sapf-cbo", "--problem", "RC20", "--runs", "1",
+                "--max-fe", "60", "--max-attempts", "4", "--out", str(tmp_path / "cbo")]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            cfg = tmp_path / "cbo.json"
+            cfg.write_text(json.dumps({key: value}))
+            argv += ["--config", str(cfg)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert key in err
+        assert not (tmp_path / "cbo").exists()
+
+
+class _Built(Exception):
+    """Carries the ExperimentConfig the CLI would run."""
+
+
+def built_config(monkeypatch, *argv) -> ExperimentConfig:
+    def capture(cfg):
+        raise _Built(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    with pytest.raises(_Built) as built:
+        main(list(argv))
+    return built.value.args[0]
+
+
+ALL_IDS = tuple(r.suite_id for r in suite.list_problems())
+NON_DEFAULT = ["--runs", "3", "--seed", "5", "--max-fe", "500", "--max-attempts", "40",
+               "--negative-mode", "shift", "--near-zero-threshold", "2",
+               "--int-offset", "3", "--infinity-substitute", "4",
+               "--saturation-window", "9", "--saturation-tolerance", "1e-3"]
+NON_DEFAULT_COMMON = dict(
+    max_function_evaluations=500, max_learning_attempts=40, saturation_window=9,
+    saturation_tolerance=1e-3,
+    penalty=PenaltyConfig(near_zero_threshold=2.0, int_offset=3.0,
+                          infinity_substitute=4.0, negative_mode=NegativeMode.SHIFT))
+
+
+class TestBuiltExperimentConfig:
+    @pytest.mark.parametrize("argv, expected", [
+        (["run", "--algo", "ci-sapf", "--problem", "RC20"],
+         ExperimentConfig(Algorithm.CI_SAPF, ("RC20",), CiConfig())),
+        (["run", "--algo", "ci-sapf-cbo", "--problem", "RC20"],
+         ExperimentConfig(Algorithm.CI_SAPF_CBO, ("RC20",), CboConfig())),
+        (["suite", "--algo", "ci-sapf"],
+         ExperimentConfig(Algorithm.CI_SAPF, ALL_IDS, CiConfig())),
+        (["suite", "--algo", "ci-sapf-cbo", "--category", "process_synthesis"],
+         ExperimentConfig(Algorithm.CI_SAPF_CBO, ("RC08", "RC10"), CboConfig())),
+        (["run", "--algo", "ci-sapf", "--problem", "RC32", "--candidates", "7",
+          "--reduction-factor", "0.9", "--variations", "2"] + NON_DEFAULT,
+         ExperimentConfig(Algorithm.CI_SAPF, ("RC32",),
+                          CiConfig(cohort_size=7, reduction_factor=0.9,
+                                   variations_per_attempt=2, **NON_DEFAULT_COMMON),
+                          runs=3, base_seed=5)),
+        (["suite", "--algo", "ci-sapf-cbo", "--candidates", "8"] + NON_DEFAULT,
+         ExperimentConfig(Algorithm.CI_SAPF_CBO, ALL_IDS,
+                          CboConfig(cohort_size=8, **NON_DEFAULT_COMMON),
+                          runs=3, base_seed=5)),
+    ])
+    def test_equals_explicit_config(self, monkeypatch, tmp_path, argv, expected):
+        assert built_config(monkeypatch, *argv, "--out", str(tmp_path)) == expected
+
+    def test_config_file_builds_what_flags_build(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "algo": "ci-sapf", "problem": "RC32", "runs": 3, "seed": 5, "max_fe": 500,
+            "max_attempts": 40, "negative_mode": "shift", "near_zero_threshold": 2.0,
+            "int_offset": 3.0, "infinity_substitute": 4.0, "saturation_window": 9,
+            "saturation_tolerance": 1e-3}))
+        from_flags = built_config(monkeypatch, "run", "--algo", "ci-sapf",
+                                  "--problem", "RC32", *NON_DEFAULT, "--out", "o")
+        assert built_config(monkeypatch, "run", "--config", str(cfg), "--out", "o") \
+            == from_flags
+
 
 class TestConfigFile:
     def test_toml_config_supplies_values(self, capsys, tmp_path):
@@ -125,6 +212,35 @@ class TestConfigFile:
         assert code == 1
         assert "bogus" in err
 
+    def test_out_from_config_file(self, capsys, tmp_path):
+        out_dir = tmp_path / "o2"
+        cfg = tmp_path / "exp.toml"
+        cfg.write_text(f"algo = 'ci-sapf'\nproblem = 'RC20'\nruns = 1\nmax_fe = 60\n"
+                       f"max_attempts = 4\nout = '{out_dir}'\n")
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0
+        assert (out_dir / "summary.csv").exists()
+        assert f"to {out_dir}" in out
+
+    def test_suite_config_category_is_honoured(self, capsys, tmp_path):
+        cfg = tmp_path / "suite.toml"
+        cfg.write_text('algo = "ci-sapf"\ncategory = "process_synthesis"\nruns = 1\n'
+                       "max_fe = 40\nmax_attempts = 3\n")
+        out_dir = tmp_path / "ps"
+        code, _, _ = run_cli(capsys, "suite", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "summary.csv", "summary.json", "trace_RC08_0.csv", "trace_RC10_0.csv"]
+
+    def test_suite_config_problem_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "suite.toml"
+        cfg.write_text('algo = "ci-sapf"\nproblem = "RC20"\nruns = 1\n'
+                       "max_fe = 40\nmax_attempts = 3\n")
+        code, _, err = run_cli(capsys, "suite", "--config", str(cfg),
+                               "--out", str(tmp_path / "p"))
+        assert code == 1
+        assert "problem" in err
+
 
 class TestSuiteCommand:
     def test_category_suite(self, capsys, tmp_path):
@@ -143,9 +259,11 @@ class TestFlatTomlParser:
     def test_scalar_types(self):
         parsed = _parse_flat_toml(
             's = "hello"\nn = 3\nx = 2.5\nflag = true\noff = false\n'
-            "# comment line\nwith_comment = 7 # trailing\n", "test.toml")
+            "# comment line\nwith_comment = 7 # trailing\n"
+            'out = "res#1"\nlit = \'a#b\' # c\n', "test.toml")
         assert parsed == {"s": "hello", "n": 3, "x": 2.5, "flag": True,
-                          "off": False, "with_comment": 7}
+                          "off": False, "with_comment": 7, "out": "res#1",
+                          "lit": "a#b"}
 
     def test_tables_rejected(self):
         with pytest.raises(ValueError):

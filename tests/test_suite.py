@@ -25,20 +25,14 @@ class TestCatalogMetadata:
     @pytest.mark.parametrize("suite_id", sorted(CATALOG))
     def test_record_matches_catalog(self, suite_id):
         name, category, dim, n_g, n_h, best = CATALOG[suite_id]
-        rec = suite.get_record(suite_id)
-        assert rec.name == name
-        assert rec.category is category
-        assert rec.dimension == dim
-        assert rec.inequality_count == n_g
-        assert rec.equality_count == n_h
-        assert rec.best_known == pytest.approx(best, rel=1e-10)
-
-    @pytest.mark.parametrize("suite_id", sorted(CATALOG))
-    def test_definition_mirrors_counts(self, suite_id):
-        rec = suite.get_record(suite_id)
-        assert rec.definition.dimension == rec.dimension
-        assert len(rec.definition.inequality_fns) == rec.inequality_count
-        assert len(rec.definition.equality_fns) == rec.equality_count
+        meta = suite.get_record(suite_id).metadata()
+        assert meta["id"] == suite_id
+        assert meta["name"] == name
+        assert meta["category"] == category.value
+        assert meta["dimension"] == dim
+        assert meta["inequality_count"] == n_g
+        assert meta["equality_count"] == n_h
+        assert meta["best_known"] == pytest.approx(best, rel=1e-10)
 
     def test_registry_size(self):
         assert len(suite.list_problems()) >= 10
