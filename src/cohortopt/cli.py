@@ -148,24 +148,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--category", choices=[c.value for c in Category])
     _add_solver_flags(p_suite)
 
+    for sub_parser in (p_run, p_suite):
+        # config file values are checked against these flags
+        sub_parser.set_defaults(flag_actions={a.dest: a for a in sub_parser._actions})
     return parser
 
 
 def _merged_options(args: argparse.Namespace) -> dict:
     """File values first, explicit CLI flags override them.
 
-    The keys a file may hold are the subcommand's own flags.
+    The keys a file may hold are the subcommand's own flags, and each
+    value must already have the flag's type.
     """
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("command", "config", "flag_actions")}
     merged: dict = {}
     if args.config:
         file_values = load_config_file(args.config)
         unknown = set(file_values) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        merged.update(file_values)
+        merged.update((k, _file_value(args.flag_actions[k], v))
+                      for k, v in file_values.items())
     merged.update((k, v) for k, v in flags.items() if v is not None)
     return merged
+
+
+def _file_value(action: argparse.Action, value):
+    """A config file's value for the flag ``action``: it must already have
+    the flag's type (an int may stand for a float) and be one of its
+    choices, if it has any."""
+    kind = action.type or str
+    if (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)
+            or action.choices is not None and value not in action.choices):
+        raise ValueError(f"config key {action.dest}: {value!r} is not a valid "
+                         f"--{action.dest.replace('_', '-')} value")
+    return kind(value)
 
 
 def _build_solver(algorithm: Algorithm, opts: dict) -> SolverConfig:

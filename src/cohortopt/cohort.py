@@ -19,6 +19,7 @@ and ``problem`` (``roulette_select``, ``score``, ``evaluate``).
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -92,6 +93,50 @@ class TraceRecord:
     best_violation: float
 
 
+class Trace(Sequence[TraceRecord]):
+    """The incumbent after each learning attempt of a run; record ``i`` is
+    attempt ``i + 1``.
+
+    Held as one float array per field, about 25 bytes per attempt where a
+    list of :class:`TraceRecord` objects takes about 105. Indexing and
+    iteration give ``TraceRecord`` values, and a trace equals any
+    sequence of the same records.
+    """
+
+    __slots__ = ("best_phi", "best_f", "best_violation")
+
+    def __init__(self):
+        self.best_phi = array("d")
+        self.best_f = array("d")
+        self.best_violation = array("d")
+
+    def append(self, phi: float, f: float, violation: float) -> None:
+        self.best_phi.append(phi)
+        self.best_f.append(f)
+        self.best_violation.append(violation)
+
+    def __len__(self) -> int:
+        return len(self.best_phi)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        return TraceRecord(i + 1, self.best_phi[i], self.best_f[i], self.best_violation[i])
+
+    def __iter__(self):
+        for i, values in enumerate(zip(self.best_phi, self.best_f, self.best_violation)):
+            yield TraceRecord(i + 1, *values)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Trace):
+            return (self.best_phi == other.best_phi and self.best_f == other.best_f
+                    and self.best_violation == other.best_violation)
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass
 class RunResult:
     best_position: Vector
@@ -102,7 +147,7 @@ class RunResult:
     function_evaluations: int
     learning_attempts: int
     wall_time: float
-    trace: list[TraceRecord]
+    trace: Trace
 
 
 def incumbent_key(objective: float, violation: float, phi: float) -> tuple:
@@ -257,15 +302,15 @@ def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
     return Cohort(points[best], objective[best], violation[best], phi[best], lo, hi)
 
 
-def check_saturation(trace: Sequence[TraceRecord], window: int, tol: float,
+def check_saturation(phis: Sequence[float], window: int, tol: float,
                      start: int = 0) -> bool:
-    """True iff the last ``window`` incumbent phis, all recorded at or after
-    index ``start``, span a range <= tol."""
+    """True iff the last ``window`` incumbent phis (one per attempt), all
+    recorded at or after index ``start``, span a range <= tol."""
     if window < 2:
         raise ValueError("window must be at least 2")
-    if len(trace) - start < window:
+    if len(phis) - start < window:
         return False
-    phis = [rec.best_phi for rec in trace[-window:]]
+    phis = phis[-window:]
     return max(phis) - min(phis) <= tol
 
 
@@ -275,14 +320,14 @@ def cohort_spread(cohort: Cohort) -> float:
     return float(cohort.phi.max()) - float(cohort.phi.min())
 
 
-def run_saturated(cohort: Cohort, trace: Sequence[TraceRecord],
+def run_saturated(cohort: Cohort, trace: Trace,
                   window: int, tol: float, start: int = 0) -> bool:
     """Stopping rule: the incumbent has stalled over the window (counted
     from trace index ``start``) AND the candidates' behaviors have become
     almost the same. Requiring cohort consensus too keeps a momentary
     stall of the best-so-far from ending a run whose candidates are still
     spread out and learning."""
-    return (check_saturation(trace, window, tol, start)
+    return (check_saturation(trace.best_phi, window, tol, start)
             and cohort_spread(cohort) <= tol)
 
 
@@ -307,7 +352,7 @@ def run_cohort(problem: ProblemDefinition, cfg, per_attempt: int,
     cohort = initialize_cohort(problem, cfg, rng, counter)
     best = offer(None, cohort)
 
-    trace: list[TraceRecord] = []
+    trace = Trace()
     attempts = 0
     restart_mark = 0
     while (attempts < cfg.max_learning_attempts
@@ -315,9 +360,7 @@ def run_cohort(problem: ProblemDefinition, cfg, per_attempt: int,
         cohort = step(cohort, problem, cfg, rng, counter, attempts)
         attempts += 1
         best = offer(best, cohort)
-        trace.append(TraceRecord(attempt=attempts, best_phi=best.phi,
-                                 best_f=best.objective,
-                                 best_violation=best.violation))
+        trace.append(best.phi, best.objective, best.violation)
         if run_saturated(cohort, trace, cfg.saturation_window,
                          cfg.saturation_tolerance, restart_mark):
             if (restart

@@ -118,6 +118,11 @@ class ProblemDefinition:
     equality_tolerance: float = 1e-4
     best_known: Optional[float] = None
     category: Category = Category.MECHANICAL
+    #: Optional ``point_fn(x) -> (f, g_values, h_values)`` at one point ``x``
+    #: given as a list of Python floats. When set, :func:`evaluate` and
+    #: :func:`evaluate_rows` call only it, so the scalar callables must
+    #: return the same values.
+    point_fn: Optional[Callable[[list], tuple]] = None
     #: Indices of the integer dimensions, derived from ``kinds``.
     integer_index: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -205,26 +210,46 @@ def clip_to_bounds(x: Vector, bounds: Bounds, integer_dims: np.ndarray) -> Vecto
 def _call_at(problem: ProblemDefinition,
              x: Vector) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """Objective, inequality values and equality values at the rounded
-    point ``x``; NaN from any callable raises :class:`EvaluationFaultError`."""
+    point ``x``, from ``point_fn`` if the problem has one; NaN from any
+    callable raises :class:`EvaluationFaultError`."""
+    if problem.point_fn is not None:
+        point = x.tolist()
+        f, g_values, h_values = problem.point_fn(point)
+        _raise_on_nan(problem, point, f, g_values, h_values)
+        return float(f), tuple(g_values), tuple(h_values)
+
     f = float(problem.objective_fn(x))
     if math.isnan(f):
-        raise EvaluationFaultError(f"objective of {problem.id!r} returned NaN at {x.tolist()}")
-
+        _raise_on_nan(problem, x.tolist(), f, (), ())
     g_values = []
     for i, fn in enumerate(problem.inequality_fns):
         g = float(fn(x))
         if math.isnan(g):
-            raise EvaluationFaultError(
-                f"inequality constraint {i} of {problem.id!r} returned NaN at {x.tolist()}")
+            _raise_on_nan(problem, x.tolist(), f, g_values + [g], ())
         g_values.append(g)
     h_values = []
     for j, fn in enumerate(problem.equality_fns):
         h = float(fn(x))
         if math.isnan(h):
-            raise EvaluationFaultError(
-                f"equality constraint {j} of {problem.id!r} returned NaN at {x.tolist()}")
+            _raise_on_nan(problem, x.tolist(), f, g_values, h_values + [h])
         h_values.append(h)
     return f, tuple(g_values), tuple(h_values)
+
+
+def _raise_on_nan(problem: ProblemDefinition, point: list, f: float,
+                  g_values: Sequence[float], h_values: Sequence[float]) -> None:
+    """Raise :class:`EvaluationFaultError` for the first NaN among f, the
+    inequality values and the equality values, in that order."""
+    if math.isnan(f):
+        raise EvaluationFaultError(f"objective of {problem.id!r} returned NaN at {point}")
+    for i, g in enumerate(g_values):
+        if math.isnan(g):
+            raise EvaluationFaultError(
+                f"inequality constraint {i} of {problem.id!r} returned NaN at {point}")
+    for j, h in enumerate(h_values):
+        if math.isnan(h):
+            raise EvaluationFaultError(
+                f"equality constraint {j} of {problem.id!r} returned NaN at {point}")
 
 
 def evaluate(problem: ProblemDefinition, x: Vector,
@@ -257,10 +282,12 @@ def evaluate_rows(problem: ProblemDefinition, points: np.ndarray,
     """Objective and aggregate violation of each row of ``points`` (n, D),
     with the NaN faults and the violation sum of :func:`evaluate`.
 
-    The rows must already be clipped and rounded. Each row is handed to
-    the problem's callables as its own copy, shared by that row's
-    callables as in :func:`evaluate`, so a callable that writes into its
-    argument cannot alter ``points``. Counts as n function evaluations.
+    The rows must already be clipped and rounded. A problem's
+    ``point_fn`` gets each row once as a list of Python floats. Otherwise
+    each row is handed to the problem's callables as its own copy, shared
+    by that row's callables as in :func:`evaluate`, so a callable that
+    writes into its argument cannot alter ``points``. Counts as n function
+    evaluations.
     """
     rows = np.array(points, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != problem.dimension:
@@ -270,10 +297,20 @@ def evaluate_rows(problem: ProblemDefinition, points: np.ndarray,
     eps = problem.equality_tolerance
     objectives = []
     violations = []
-    for x in rows:
-        f, g_values, h_values = _call_at(problem, x)
-        objectives.append(f)
-        violations.append(_sum_violation(g_values, h_values, eps))
+    if problem.point_fn is None:
+        for x in rows:
+            f, g_values, h_values = _call_at(problem, x)
+            objectives.append(f)
+            violations.append(_sum_violation(g_values, h_values, eps))
+    else:
+        point_fn = problem.point_fn
+        for x in rows.tolist():
+            f, g_values, h_values = point_fn(x)
+            screen = f + sum(g_values) + sum(h_values)
+            if screen != screen:  # any NaN makes the sum NaN
+                _raise_on_nan(problem, x, f, g_values, h_values)
+            objectives.append(f)
+            violations.append(_sum_violation(g_values, h_values, eps))
     if counter is not None:
         counter.count += len(rows)
-    return np.array(objectives), np.array(violations)
+    return np.array(objectives, dtype=float), np.array(violations)

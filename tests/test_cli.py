@@ -212,6 +212,26 @@ class TestConfigFile:
         assert code == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("runs", "3"), ("out", 5), ("runs", 2.5), ("seed", True),
+        ("reduction_factor", "0.9"), ("negative_mode", "bogus"), ("algo", 1),
+    ])
+    def test_wrongly_typed_config_value_is_an_error(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"algo": "ci-sapf", "problem": "RC20", "runs": 1,
+                                   "max_fe": 40, "max_attempts": 3, key: value}))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg),
+                               "--out", str(tmp_path / "t"))
+        assert code == 1
+        assert err.startswith(f"error: config key {key}:")
+
+    def test_int_config_value_accepted_for_float_flag(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"infinity_substitute": 4}))
+        built = built_config(monkeypatch, "run", "--algo", "ci-sapf", "--problem", "RC20",
+                             "--config", str(cfg), "--out", "o")
+        assert repr(built.solver.penalty.infinity_substitute) == "4.0"
+
     def test_out_from_config_file(self, capsys, tmp_path):
         out_dir = tmp_path / "o2"
         cfg = tmp_path / "exp.toml"

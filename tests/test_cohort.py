@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 from cohortopt import CiConfig, VarKind, ci_sapf_run
 from cohortopt.problem import EvalCounter, make_rng
 from cohortopt.cohort import (
+    Trace,
     TraceRecord,
     check_saturation,
     cohort_spread,
@@ -175,23 +178,46 @@ class TestLearningAttempt:
 
 
 class TestCheckSaturation:
-    @staticmethod
-    def trace_of(phis):
-        return [TraceRecord(i + 1, phi, phi, 0.0) for i, phi in enumerate(phis)]
-
     def test_constant_trace_saturates(self):
-        assert check_saturation(self.trace_of([5.0] * 20), 20, 1e-6)
+        assert check_saturation([5.0] * 20, 20, 1e-6)
 
     def test_improving_trace_does_not(self):
         phis = [10.0 - 0.01 * i for i in range(20)]
-        assert not check_saturation(self.trace_of(phis), 20, 1e-6)
+        assert not check_saturation(phis, 20, 1e-6)
 
     def test_short_trace_does_not(self):
-        assert not check_saturation(self.trace_of([5.0] * 19), 20, 1e-6)
+        assert not check_saturation([5.0] * 19, 20, 1e-6)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            check_saturation(self.trace_of([1.0]), 1, 1e-6)
+            check_saturation([1.0], 1, 1e-6)
+
+
+class TestTrace:
+    @staticmethod
+    def trace_of(*rows):
+        trace = Trace()
+        for row in rows:
+            trace.append(*row)
+        return trace
+
+    def test_records_number_attempts_from_one(self):
+        trace = self.trace_of((3.0, 2.0, 1.0), (-0.0, math.inf, 0.0))
+        assert list(trace) == [TraceRecord(1, 3.0, 2.0, 1.0),
+                               TraceRecord(2, -0.0, math.inf, 0.0)]
+        assert trace[-1] == trace[1] == TraceRecord(2, -0.0, math.inf, 0.0)
+        assert trace[:1] == [TraceRecord(1, 3.0, 2.0, 1.0)]
+        assert math.copysign(1.0, trace[1].best_phi) == -1.0
+        with pytest.raises(IndexError):
+            trace[2]
+
+    def test_equality(self):
+        a = self.trace_of((1.0, 1.0, 0.0), (0.5, 0.5, 0.0))
+        assert a == self.trace_of((1.0, 1.0, 0.0), (0.5, 0.5, 0.0))
+        assert a != self.trace_of((1.0, 1.0, 0.0))
+        assert a != self.trace_of((1.0, 1.0, 0.0), (0.5, 0.5, 1e-300))
+        assert a == list(a) and list(a) == a
+        assert Trace() == [] and Trace() != [TraceRecord(1, 1.0, 1.0, 0.0)]
 
 
 class TestCiSapfRun:

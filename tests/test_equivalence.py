@@ -8,6 +8,7 @@ zeros included), what the scalar function gives one value at a time:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,6 +151,30 @@ class TestEvaluateRows:
         with pytest.raises(EvaluationFaultError) as rows:
             evaluate_rows(problem, points)
         assert str(rows.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("where, message", [
+        ("objective", "objective of 'toy'"),
+        ("inequality", "inequality constraint 1 of 'toy'"),
+        ("equality", "equality constraint 0 of 'toy'"),
+    ])
+    def test_point_fn_nan_fault_message_matches(self, where, message):
+        def point(x):
+            nan = math.nan if x[0] > 1.0 else 0.0
+            # f = inf and g0 = -inf flag a row's NaN screen without any NaN
+            return (nan if where == "objective" else math.inf,
+                    (-math.inf, nan if where == "inequality" else 0.0),
+                    (nan if where == "equality" else 0.0,))
+
+        zero = lambda x: 0.0  # noqa: E731
+        problem = replace(make_problem(dim=2, inequality=(zero, zero), equality=(zero,)),
+                          point_fn=point)
+        points = np.array([[0.5, 0.0], [1.5, 2.0]])
+        assert evaluate_rows(problem, points[:1])[1].tolist() == [0.0]
+        with pytest.raises(EvaluationFaultError) as scalar:
+            evaluate(problem, points[1])
+        with pytest.raises(EvaluationFaultError) as rows:
+            evaluate_rows(problem, points)
+        assert str(rows.value) == str(scalar.value) == f"{message} returned NaN at [1.5, 2.0]"
 
     def test_mutating_callable_cannot_alter_points(self):
         def scribble(x):

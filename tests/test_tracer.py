@@ -13,6 +13,7 @@ import pytest
 
 from cohortopt import Algorithm, CboConfig, CiConfig, suite
 from cohortopt.bench import solve_once
+from conftest import make_problem
 from test_golden import fingerprint
 
 _spec = importlib.util.spec_from_file_location(
@@ -26,19 +27,36 @@ def test_every_patch_point_resolves():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-@pytest.mark.parametrize("algorithm, solver, step_span", [
+ENGINES = pytest.mark.parametrize("algorithm, solver, step_span", [
     (Algorithm.CI_SAPF, CiConfig(max_function_evaluations=300), "cohort.learning_attempt"),
     (Algorithm.CI_SAPF_CBO, CboConfig(max_function_evaluations=300),
      "collision.collision_state"),
 ], ids=["ci-sapf", "ci-sapf-cbo"])
-def test_traced_run_is_bit_identical(algorithm, solver, step_span):
-    problem = suite.get_problem("RC20")
+
+
+def traced_and_plain(problem, algorithm, solver):
     plain = solve_once(problem, algorithm, solver, 0)
     tracer = tracing.Tracer()
     with tracer.installed():
         traced = solve_once(tracer.problem(problem), algorithm, solver, 0)
     assert fingerprint(traced) == fingerprint(plain)
+    return tracer, plain
+
+
+@ENGINES
+def test_traced_run_is_bit_identical(algorithm, solver, step_span):
+    tracer, plain = traced_and_plain(suite.get_problem("RC20"), algorithm, solver)
     # one span per learning attempt: the engines called the rebound names
     assert tracer.calls[step_span] == plain.learning_attempts
     assert tracer.calls["cohort.run_saturated"] == plain.learning_attempts
+    # registry problems are evaluated through point_fn, which is not wrapped
+    assert tracer.calls["suite.fn"] == 0
+
+
+@ENGINES
+def test_scalar_callables_traced_once_per_evaluation(algorithm, solver, step_span):
+    problem = make_problem(dim=2, inequality=(
+        lambda x: x[0] - 1.0, lambda x: -x[1], lambda x: x[0] + x[1] - 3.0))
+    tracer, plain = traced_and_plain(problem, algorithm, solver)
+    assert tracer.calls[step_span] == plain.learning_attempts
     assert tracer.calls["suite.fn"] == 4 * plain.function_evaluations
