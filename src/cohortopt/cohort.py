@@ -9,23 +9,30 @@ unconditionally. The run stops on saturation of the incumbent trace or
 when a budget is exhausted. The run loop (:func:`run_cohort`) is shared
 with the collision engine, which supplies its own learning attempt.
 
-The cohort is held as arrays (:class:`Cohort`) and each step works on
-all candidates at once; only the problem's own callables run once per
-point. Seeded runs are bit-identical to running the same steps candidate
-by candidate with the scalar references kept here and in ``penalty``
-and ``problem`` (``roulette_select``, ``score``, ``evaluate``).
+Positions and sampling intervals are ``(C, D)`` arrays, and each step
+draws, shrinks, samples, clips and rounds all candidates in one numpy
+pass. The values of length C or C*t (objective, violation, phi, follow
+probabilities, roulette picks, ranks) are lists of Python floats: at
+cohort sizes of 5 to 20, numpy's fixed cost per call exceeds the
+arithmetic. Seeded runs are bit-identical to running the same steps
+candidate by candidate with the scalar references kept here and in
+``penalty`` and ``problem`` (``roulette_select``, ``score``,
+``evaluate``).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .penalty import PenaltyConfig, phi_values
+from .penalty import PenaltyConfig, score_phis
 from .penalty import score  # noqa: F401  scalar reference, rebound by perfbench's tracer
 from .problem import (
     EvalCounter,
@@ -38,19 +45,24 @@ from .problem import (
 )
 from .problem import evaluate  # noqa: F401  scalar reference, rebound by perfbench's tracer
 
+INF = math.inf
+# n terms in [0, 2**1022 / n] cannot sum to an overflow in any order, so
+# their reduction needs no np.errstate (which costs more than the sum)
+_NO_OVERFLOW = 2.0 ** 1022
+
 
 @dataclass
 class Cohort:
-    """The C candidates as arrays; row i of each array is candidate i.
+    """The C candidates; row or item i of each field is candidate i.
 
     ``interval_lower``/``interval_upper`` are ci-sapf's per-variable
     sampling intervals; the collision engine leaves them at the bounds.
     """
 
     positions: np.ndarray        # (C, D), clipped and rounded
-    objective: np.ndarray        # (C,)
-    violation: np.ndarray        # (C,)
-    phi: np.ndarray              # (C,)
+    objective: list[float]       # C Python floats
+    violation: list[float]
+    phi: list[float]
     interval_lower: np.ndarray   # (C, D)
     interval_upper: np.ndarray   # (C, D)
 
@@ -79,8 +91,9 @@ class CiConfig:
             raise ValueError("budgets must be positive")
         if self.saturation_window < 2:
             raise ValueError("saturation_window must be at least 2")
-        if self.saturation_tolerance < 0.0:
-            raise ValueError("saturation_tolerance must be non-negative")
+        # false for NaN too, which would never let a run saturate
+        if not 0.0 <= self.saturation_tolerance < math.inf:
+            raise ValueError("saturation_tolerance must be finite and non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,13 +176,15 @@ def incumbent_key(objective: float, violation: float, phi: float) -> tuple:
     return (1, violation, phi)
 
 
-def rank_order(cohort: Cohort) -> np.ndarray:
+def _incumbent_keys(cohort: Cohort) -> list[tuple]:
+    return list(map(incumbent_key, cohort.objective, cohort.violation, cohort.phi))
+
+
+def rank_order(cohort: Cohort) -> list[int]:
     """Cohort indices sorted ascending under :func:`incumbent_key`; the
     sort is stable, so equal keys keep index order."""
-    infeasible = cohort.violation != 0.0
-    return np.lexsort((cohort.phi,
-                       np.where(infeasible, cohort.violation, cohort.objective),
-                       infeasible))
+    keys = _incumbent_keys(cohort)
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -186,45 +201,49 @@ def offer(incumbent: Optional[Incumbent], cohort: Cohort) -> Incumbent:
     """The incumbent after seeing every cohort member, as if offered one
     by one in index order: the cohort's best (first of equals) replaces
     the incumbent only if strictly better."""
-    i = rank_order(cohort)[0]
-    objective = float(cohort.objective[i])
-    violation = float(cohort.violation[i])
-    phi = float(cohort.phi[i])
-    if incumbent is None or (
-            incumbent_key(objective, violation, phi)
-            < incumbent_key(incumbent.objective, incumbent.violation, incumbent.phi)):
-        return Incumbent(cohort.positions[i].copy(), objective, violation, phi)
+    keys = _incumbent_keys(cohort)
+    i = keys.index(min(keys))   # min keeps the first of equal keys
+    if incumbent is None or keys[i] < incumbent_key(
+            incumbent.objective, incumbent.violation, incumbent.phi):
+        return Incumbent(cohort.positions[i].copy(), cohort.objective[i],
+                         cohort.violation[i], cohort.phi[i])
     return incumbent
 
 
-def selection_probabilities(phis: Sequence[float]) -> np.ndarray:
+def selection_probabilities(phis: Sequence[float]) -> list[float]:
     """Follow probabilities proportional to 1/phi, lower phi more likely.
 
     Non-positive phis are first shifted by -min(phi) + delta with
     delta = 1e-9 * max(1, |min(phi)|) so the inversion stays defined.
     """
-    phis = np.asarray(phis, dtype=float)
-    if phis.size == 0:
+    if len(phis) == 0:
         raise ValueError("need at least one pseudo-objective")
-    low = phis.min()
+    low = min(phis)
     if low <= 0.0:
-        phis = phis + (-low + 1e-9 * max(1.0, abs(low)))
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / phis
-        total = inv.sum()
-    if np.isinf(inv).any():
+        shift = -low + 1e-9 * max(1.0, abs(low))
+        phis = [phi + shift for phi in phis]
+    inv = [1.0 / phi for phi in phis]
+    top = max(inv)
+    if top == INF:
         # 1/phi overflowed: those phis are indistinguishable from the
         # limit, so all weight concentrates on them
-        mask = np.isinf(inv)
-        return mask / mask.sum()
-    if np.isinf(total):
-        # every 1/phi is finite but their sum is not: scale before summing
-        inv = inv / inv.max()
-        total = inv.sum()
+        share = 1.0 / inv.count(INF)
+        return [share if x == INF else 0.0 for x in inv]
+    # numpy's pairwise summation order, which seeded results depend on
+    # from 8 terms on, where it differs from Python's sum
+    if top * len(inv) < _NO_OVERFLOW:
+        total = float(np.add.reduce(inv))
+    else:
+        with np.errstate(over="ignore"):
+            total = float(np.add.reduce(inv))
+        if total == INF:
+            # every 1/phi is finite but their sum is not: scale before summing
+            inv = [x / top for x in inv]
+            total = float(np.add.reduce(inv))
     if total == 0.0:
         # every behavior infinitely bad: follow uniformly
-        return np.full(phis.shape, 1.0 / phis.size)
-    return inv / total
+        return [1.0 / len(inv)] * len(inv)
+    return [x / total for x in inv]
 
 
 def roulette_select(probs: Sequence[float], u: float) -> int:
@@ -237,10 +256,12 @@ def roulette_select(probs: Sequence[float], u: float) -> int:
     return len(probs) - 1
 
 
-def roulette_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``roulette_select(probs, u_k)`` for every draw ``u_k`` at once."""
-    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"),
-                      len(probs) - 1)
+def roulette_picks(probs: Sequence[float], draws: Sequence[float]) -> list[int]:
+    """``roulette_select(probs, u)`` for every draw ``u``: the first
+    cumulative probability above u, else the last index."""
+    cumulative = list(accumulate(probs))
+    last = len(cumulative) - 1
+    return [min(bisect_right(cumulative, u), last) for u in draws]
 
 
 def shrink_interval(followed_value, current_width, r: float, lower, upper):
@@ -267,7 +288,7 @@ def initialize_cohort(problem: ProblemDefinition, cfg: CiConfig,
                             bounds, problem.integer_index)
     objective, violation = evaluate_rows(problem, points, counter)
     return Cohort(points, objective, violation,
-                  phi_values(objective, violation, cfg.penalty),
+                  score_phis(objective, violation, cfg.penalty),
                   np.broadcast_to(bounds.lower, shape),
                   np.broadcast_to(bounds.upper, shape))
 
@@ -287,8 +308,8 @@ def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
     c, dim = cohort.positions.shape
     t = cfg.variations_per_attempt
     draws = rng.random((c, 1 + t * dim))
-    probs = selection_probabilities(cohort.phi)
-    followed = cohort.positions[roulette_indices(probs, draws[:, 0])]
+    picks = roulette_picks(selection_probabilities(cohort.phi), draws[:, 0].tolist())
+    followed = cohort.positions.take(picks, axis=0)
     lo, hi = shrink_interval(followed, cohort.interval_upper - cohort.interval_lower,
                              cfg.reduction_factor, problem.bounds.lower,
                              problem.bounds.upper)
@@ -296,10 +317,12 @@ def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
     points = clip_to_bounds(samples.reshape(c * t, dim), problem.bounds,
                             problem.integer_index)
     objective, violation = evaluate_rows(problem, points, counter)
-    phi = phi_values(objective, violation, cfg.penalty)
-    # unconditional adoption: the new behavior replaces the old one
-    best = np.arange(0, c * t, t) + phi.reshape(c, t).argmin(axis=1)
-    return Cohort(points[best], objective[best], violation[best], phi[best], lo, hi)
+    phi = score_phis(objective, violation, cfg.penalty)
+    # unconditional adoption: the new behavior replaces the old one; the
+    # first of equal phis is the first index equal to the minimum
+    best = [phi.index(min(phi[k:k + t]), k) for k in range(0, c * t, t)]
+    return Cohort(points.take(best, axis=0), [objective[i] for i in best],
+                  [violation[i] for i in best], [phi[i] for i in best], lo, hi)
 
 
 def check_saturation(phis: Sequence[float], window: int, tol: float,
@@ -316,8 +339,8 @@ def check_saturation(phis: Sequence[float], window: int, tol: float,
 
 def cohort_spread(cohort: Cohort) -> float:
     """Range of the cohort's current pseudo-objectives."""
-    # Python floats: inf - inf is NaN (never saturated) without a warning
-    return float(cohort.phi.max()) - float(cohort.phi.min())
+    # inf - inf is NaN (never saturated), without a warning in Python floats
+    return max(cohort.phi) - min(cohort.phi)
 
 
 def run_saturated(cohort: Cohort, trace: Trace,

@@ -13,7 +13,9 @@ reduction factor exists anywhere in this engine. The run loop is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .cohort import (
 )
 # not called here; perfbench's tracer rebinds these names in this module
 from .cohort import roulette_select, run_saturated  # noqa: F401
-from .penalty import PenaltyConfig, phi_values
+from .penalty import PenaltyConfig, score_phis
 from .problem import (
     EvalCounter,
     ProblemDefinition,
@@ -54,11 +56,12 @@ class CboConfig:
             raise ValueError("budgets must be positive")
         if self.saturation_window < 2:
             raise ValueError("saturation_window must be at least 2")
-        if self.saturation_tolerance < 0.0:
-            raise ValueError("saturation_tolerance must be non-negative")
+        # false for NaN too, which would never let a run saturate
+        if not 0.0 <= self.saturation_tolerance < math.inf:
+            raise ValueError("saturation_tolerance must be finite and non-negative")
 
 
-def assign_roles(cohort: Cohort) -> np.ndarray:
+def assign_roles(cohort: Cohort) -> list[int]:
     """Rank the cohort and split it by rank: better half stationary.
 
     Returns the cohort indices in ascending incumbent order (stable, so
@@ -101,7 +104,7 @@ def cor_epsilon(attempt: int, max_attempts: int) -> float:
     return 1.0 - attempt / max_attempts
 
 
-def collision_state(ranked_positions: np.ndarray, ranked_masses: np.ndarray,
+def collision_state(ranked_positions: np.ndarray, ranked_masses: Sequence[float],
                     eps: float) -> np.ndarray:
     """Post-collision velocities ``(C, D)`` of a rank-sorted cohort, every
     pair at once; row i belongs to the body at rank i.
@@ -110,15 +113,26 @@ def collision_state(ranked_positions: np.ndarray, ranked_masses: np.ndarray,
     stationary partner, and stationary bodies are at rest. A pair whose
     masses are both zero (both behaviors infinitely bad) exchanges
     nothing: its post-collision velocities are zero.
+
+    Each pair's two factors are those of :func:`velocity_after_stationary`
+    and :func:`velocity_after_moving`, computed on Python floats with the
+    same operations in the same order; only the ``(C, D)`` products use
+    numpy.
     """
     half = len(ranked_positions) // 2
-    m_stat, m_mov = ranked_masses[:half, None], ranked_masses[half:, None]
+    stationary, moving, dead = [], [], []
+    for k, (m_stat, m_mov) in enumerate(zip(ranked_masses[:half], ranked_masses[half:])):
+        if m_mov + m_stat > 0.0:
+            stationary.append(m_mov * (1.0 + eps) / (m_stat + m_mov))
+            moving.append((m_mov - eps * m_stat) / (m_mov + m_stat))
+        else:
+            stationary.append(0.0)
+            moving.append(0.0)
+            dead += [k, half + k]
     v = ranked_positions[half:] - ranked_positions[:half]
-    after = np.zeros_like(ranked_positions)
-    live = (m_mov + m_stat > 0.0)[:, 0]
-    m_mov, m_stat, v = m_mov[live], m_stat[live], v[live]
-    after[:half][live] = velocity_after_stationary(m_mov, m_stat, v, eps)
-    after[half:][live] = velocity_after_moving(m_mov, m_stat, v, eps)
+    after = np.array(stationary + moving)[:, None] * np.concatenate((v, v))
+    if dead:
+        after[dead] = 0.0   # 0.0 * v would be -0.0 where v < 0
     return after
 
 
@@ -154,13 +168,13 @@ def collision_attempt(cohort: Cohort, problem: ProblemDefinition,
     probs = selection_probabilities(cohort.phi)
     rng.random(len(probs))
     order = assign_roles(cohort)
-    ranked = cohort.positions[order]
-    velocities = collision_state(ranked, probs[order],
+    ranked = cohort.positions.take(order, axis=0)
+    velocities = collision_state(ranked, [probs[i] for i in order],
                                  cor_epsilon(attempt, cfg.max_learning_attempts))
     points = update_positions(ranked, velocities, problem, rng)
     objective, violation = evaluate_rows(problem, points, counter)
     return Cohort(points, objective, violation,
-                  phi_values(objective, violation, cfg.penalty),
+                  score_phis(objective, violation, cfg.penalty),
                   cohort.interval_lower, cohort.interval_upper)
 
 

@@ -204,7 +204,9 @@ def clip_to_bounds(x: Vector, bounds: Bounds, integer_dims: np.ndarray) -> Vecto
     if x.shape[-1] != len(bounds):
         raise DimensionMismatchError(
             f"vector has length {x.shape[-1]}, bounds have length {len(bounds)}")
-    return round_integers(np.clip(x, bounds.lower, bounds.upper), integer_dims)
+    # np.clip's values, signed zeros included, for less call overhead
+    return round_integers(np.minimum(np.maximum(x, bounds.lower), bounds.upper),
+                          integer_dims)
 
 
 def _call_at(problem: ProblemDefinition,
@@ -278,9 +280,10 @@ def evaluate(problem: ProblemDefinition, x: Vector,
 
 
 def evaluate_rows(problem: ProblemDefinition, points: np.ndarray,
-                  counter: Optional[EvalCounter] = None) -> tuple[np.ndarray, np.ndarray]:
+                  counter: Optional[EvalCounter] = None) -> tuple[list[float], list[float]]:
     """Objective and aggregate violation of each row of ``points`` (n, D),
-    with the NaN faults and the violation sum of :func:`evaluate`.
+    as lists of Python floats, with the NaN faults and the violation sum
+    of :func:`evaluate`.
 
     The rows must already be clipped and rounded. A problem's
     ``point_fn`` gets each row once as a list of Python floats. Otherwise
@@ -309,8 +312,8 @@ def evaluate_rows(problem: ProblemDefinition, points: np.ndarray,
             screen = f + sum(g_values) + sum(h_values)
             if screen != screen:  # any NaN makes the sum NaN
                 _raise_on_nan(problem, x, f, g_values, h_values)
-            objectives.append(f)
-            violations.append(_sum_violation(g_values, h_values, eps))
+            objectives.append(float(f))
+            violations.append(float(_sum_violation(g_values, h_values, eps)))
     if counter is not None:
         counter.count += len(rows)
-    return np.array(objectives, dtype=float), np.array(violations)
+    return objectives, violations

@@ -9,6 +9,7 @@ solvers are operated in practice; every run stays within the shared
 minutes on a desktop CPU.
 """
 
+import math
 import time
 from dataclasses import replace
 
@@ -172,10 +173,10 @@ class TestA8Properties:
         rng = make_rng(101)
         for _ in range(self.CASES):
             n = int(rng.integers(1, 40))
-            phis = rng.uniform(-1e6, 1e6, n)
+            phis = rng.uniform(-1e6, 1e6, n).tolist()
             p = selection_probabilities(phis)
-            assert abs(p.sum() - 1.0) <= 1e-12
-            assert p[int(np.argmin(phis))] == p.max()
+            assert abs(math.fsum(p) - 1.0) <= 1e-12
+            assert p[phis.index(min(phis))] == max(p)
         verdict("A8[probabilities]", True,
                 f"{self.CASES} random cohorts: sum(p)=1 within 1e-12 and "
                 "argmin-phi receives argmax-p")

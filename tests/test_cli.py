@@ -86,6 +86,17 @@ class TestRun:
         assert code == 1
         assert "problem" in err
 
+    @pytest.mark.parametrize("flag", ["--int-offset", "--near-zero-threshold",
+                                      "--infinity-substitute", "--saturation-tolerance"])
+    def test_non_finite_setting_is_an_error(self, capsys, tmp_path, flag):
+        out_dir = tmp_path / "nan"
+        code, _, err = run_cli(capsys, "run", "--algo", "ci-sapf", "--problem", "RC20",
+                               "--runs", "1", "--max-fe", "60", flag, "nan",
+                               "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+        assert not out_dir.exists()
+
     def test_missing_out_errors(self, capsys):
         code, _, err = run_cli(capsys, "run", "--algo", "ci-sapf", "--problem", "RC20")
         assert code == 1

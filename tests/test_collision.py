@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,9 +20,9 @@ from conftest import make_problem
 
 def feasible_cohort(phis):
     """A feasible 1-D cohort whose objectives equal its phis."""
-    phi = np.array(phis, dtype=float)
+    phi = [float(p) for p in phis]
     positions = np.zeros((len(phi), 1))
-    return Cohort(positions, phi.copy(), np.zeros(len(phi)), phi,
+    return Cohort(positions, list(phi), [0.0] * len(phi), phi,
                   positions.copy(), positions.copy())
 
 
@@ -29,22 +31,22 @@ class TestAssignRoles:
     # stationary, and rank C/2 + k (moving) pairs with rank k (stationary)
     def test_sort_and_split_pairing(self):
         order = assign_roles(feasible_cohort([3.0, 1.0, 4.0, 2.0]))
-        stationary, moving = order[:2].tolist(), order[2:].tolist()
+        stationary, moving = order[:2], order[2:]
         assert stationary == [1, 3]     # phi 1, phi 2
         assert moving == [0, 2]         # phi 3 pairs with phi 1, phi 4 with phi 2
 
     def test_ties_use_stable_order(self):
         order = assign_roles(feasible_cohort([1.0] * 4))
-        assert order.tolist() == [0, 1, 2, 3]
+        assert order == [0, 1, 2, 3]
 
     def test_minimal_cohort(self):
         order = assign_roles(feasible_cohort([2.0, 1.0]))
-        assert order.tolist() == [1, 0]     # 1 stationary, 0 moving, paired
+        assert order == [1, 0]     # 1 stationary, 0 moving, paired
 
     def test_halves_are_equal_size(self):
         order = assign_roles(feasible_cohort([float(i) for i in range(8)]))
-        assert sorted(order[:4].tolist()) == [0, 1, 2, 3]
-        assert sorted(order[4:].tolist()) == [4, 5, 6, 7]
+        assert sorted(order[:4]) == [0, 1, 2, 3]
+        assert sorted(order[4:]) == [4, 5, 6, 7]
 
     def test_odd_cohort_rejected(self):
         with pytest.raises(ValueError):
@@ -186,6 +188,12 @@ class TestCboConfig:
 
     def test_even_ok(self):
         CboConfig(cohort_size=6)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_saturation_tolerance_must_be_finite_and_non_negative(self, tol):
+        # a NaN tolerance was accepted, so such a run could never saturate
+        with pytest.raises(ValueError, match="saturation_tolerance"):
+            CboConfig(saturation_tolerance=tol)
 
 
 class TestCboRun:

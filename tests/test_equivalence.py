@@ -1,10 +1,12 @@
-"""The array paths of the engines against their scalar references.
+"""The engines' list and array steps against their references.
 
-Each array step must give, element by element and bit for bit (signed
-zeros included), what the scalar function gives one value at a time:
-``phi_values`` vs ``score``, ``roulette_indices`` vs ``roulette_select``,
-``evaluate_rows`` vs ``evaluate``, array ``shrink_interval`` vs Python's
-``max``/``min`` and row-wise ``clip_to_bounds`` vs one point at a time.
+Each step must give, element by element and bit for bit (signed zeros
+included), what its reference gives: ``score_phis`` vs ``score`` and the
+array ``phi_values``; ``selection_probabilities``, ``roulette_picks``,
+``rank_order``, ``collision_state`` and ``learning_attempt`` vs their
+numpy twins in ``array_twins.py`` (and ``roulette_select``);
+``evaluate_rows`` vs ``evaluate``; array ``shrink_interval`` vs Python's
+``max``/``min``; and row-wise ``clip_to_bounds`` vs one point at a time.
 """
 
 import math
@@ -14,7 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import array_twins
 from cohortopt import (
+    CiConfig,
     EvaluationFaultError,
     NegativeMode,
     PenaltyConfig,
@@ -26,14 +30,21 @@ from cohortopt.problem import (
     clip_to_bounds,
     evaluate,
     evaluate_rows,
+    make_rng,
 )
-from cohortopt.penalty import phi_values, score
+from cohortopt.penalty import score, score_phis
 from cohortopt.cohort import (
-    roulette_indices,
+    Cohort,
+    initialize_cohort,
+    learning_attempt,
+    offer,
+    rank_order,
+    roulette_picks,
     roulette_select,
     selection_probabilities,
     shrink_interval,
 )
+from cohortopt.collision import assign_roles, collision_state
 from conftest import make_problem
 
 INF = math.inf
@@ -73,46 +84,150 @@ class TestPhiValues:
         cfg = data.draw(penalty_configs())
         pairs = data.draw(st.lists(
             st.tuples(objectives(cfg.near_zero_threshold), violations),
-            min_size=1, max_size=12))
-        f = np.array([p[0] for p in pairs])
-        v = np.array([p[1] for p in pairs])
-        expected = [score(fi, vi, cfg).phi for fi, vi in pairs]
-        assert bits(phi_values(f, v, cfg)) == bits(expected)
+            min_size=1, max_size=40))
+        f = [p[0] for p in pairs]
+        v = [p[1] for p in pairs]
+        phis = score_phis(f, v, cfg)
+        assert all(type(phi) is float for phi in phis)
+        assert bits(phis) == bits([score(fi, vi, cfg).phi for fi, vi in pairs])
+        assert bits(phis) == bits(array_twins.phi_values(np.array(f), np.array(v), cfg))
 
     def test_every_branch_and_mode(self):
-        f = np.array([INF, -INF, -3.0, 0.0, 0.5, 2.0, 1e308])
-        v = np.array([2.0, INF, 0.5, INF, 1.0, 0.0, 1e308])
+        f = [INF, -INF, -3.0, 0.0, -0.0, 0.5, 2.0, 1e308, -1e308]
+        v = [2.0, INF, 0.5, INF, 1.0, 1.0, 0.0, 1e308, 1e308]
         for mode in NegativeMode:
             cfg = PenaltyConfig(negative_mode=mode)
-            expected = [score(fi, vi, cfg).phi for fi, vi in zip(f.tolist(), v.tolist())]
-            assert bits(phi_values(f, v, cfg)) == bits(expected)
-            assert not np.isnan(phi_values(f, v, cfg)).any()
+            phis = score_phis(f, v, cfg)
+            assert bits(phis) == bits([score(fi, vi, cfg).phi for fi, vi in zip(f, v)])
+            assert bits(phis) == bits(array_twins.phi_values(np.array(f), np.array(v), cfg))
+            assert not any(math.isnan(phi) for phi in phis)
+
+
+# phis as the penalty produces them: finite of either sign, zeros, +inf,
+# subnormals whose inverse overflows, tiny normals whose inverses
+# overflow only their sum, and huge magnitudes
+phi_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, INF, 5e-324, 1e-310, 1.1125369292536007e-308,
+                     1e308, -1e308, 1.0, 2.0]),
+    st.floats(-1e12, 1e12, allow_nan=False),
+    st.floats(min_value=0.0, allow_nan=False))
+
+
+class TestSelectionProbabilities:
+    @settings(max_examples=400)
+    @given(st.lists(phi_floats, min_size=1, max_size=40))
+    def test_equals_array_twin(self, phis):
+        probs = selection_probabilities(phis)
+        assert all(type(p) is float for p in probs)
+        assert bits(probs) == bits(array_twins.selection_probabilities(phis))
+
+    @given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+    def test_pairwise_sum_regime(self, size, seed):
+        # from 8 terms on, numpy sums in interleaved pairs, not left to right
+        phis = make_rng(seed).uniform(1e-3, 1e3, size).tolist()
+        assert bits(selection_probabilities(phis)) == bits(
+            array_twins.selection_probabilities(phis))
+
+    @pytest.mark.parametrize("phis", [
+        [INF] * 4, [1e-310, 5.0, 1e-310], [1.1125369292536007e-308] * 2,
+        [-1.0, 1.0], [0.0, -0.0, 3.0]])
+    def test_special_regimes(self, phis):
+        assert bits(selection_probabilities(phis)) == bits(
+            array_twins.selection_probabilities(phis))
 
 
 class TestRouletteIndices:
-    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=25),
+    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
            st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20))
     def test_equals_roulette_select(self, phis, draws):
         probs = selection_probabilities(phis)
-        u = np.array(draws)
-        expected = [roulette_select(probs, float(uk)) for uk in u]
-        assert roulette_indices(probs, u).tolist() == expected
+        expected = [roulette_select(probs, u) for u in draws]
+        assert roulette_picks(probs, draws) == expected
+        assert array_twins.roulette_indices(np.array(probs), np.array(draws)).tolist() \
+            == expected
 
-    @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=25))
+    @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40))
     def test_draws_on_cumulative_boundaries(self, phis):
         probs = selection_probabilities(phis)
-        # every partial sum exactly, as Python accumulates it, and just below
-        edges, acc = [], 0.0
-        for p in probs:
-            acc += p
+        # every partial sum exactly, as numpy's cumsum gives it, and just below
+        edges = []
+        for acc in np.cumsum(probs).tolist():
             edges += [acc, math.nextafter(acc, -INF)]
-        u = np.array([e for e in edges if e < 1.0] + [0.0])
-        expected = [roulette_select(probs, float(uk)) for uk in u]
-        assert roulette_indices(probs, u).tolist() == expected
+        u = [e for e in edges if e < 1.0] + [0.0]
+        expected = [roulette_select(probs, uk) for uk in u]
+        assert roulette_picks(probs, u) == expected
+        assert array_twins.roulette_indices(np.array(probs), np.array(u)).tolist() \
+            == expected
 
     def test_shortfall_returns_last(self):
-        probs = np.array([0.3, 0.3, 0.3999999999])
-        assert roulette_indices(probs, np.array([0.9999999999])).tolist() == [2]
+        probs = [0.3, 0.3, 0.3999999999]
+        assert roulette_picks(probs, [0.9999999999]) == [2]
+
+
+def cohort_of(objective, violation, phi):
+    n = len(phi)
+    positions = np.arange(float(n))[:, None]
+    return Cohort(positions, list(objective), list(violation), list(phi),
+                  positions, positions)
+
+
+tie_values = st.sampled_from([0.0, -0.0, INF, -INF, 1.0, -1.0, 2.0])
+
+
+class TestRankOrder:
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(tie_values, st.sampled_from([0.0, 1.0, 2.0, INF]),
+                              tie_values), min_size=1, max_size=40))
+    def test_equals_lexsort_on_ties(self, rows):
+        objective, violation, phi = (list(col) for col in zip(*rows))
+        cohort = cohort_of(objective, violation, phi)
+        expected = array_twins.rank_order(objective, violation, phi).tolist()
+        assert rank_order(cohort) == expected
+        best = offer(None, cohort)
+        assert best.position.tolist() == [float(expected[0])]
+        assert bits([best.objective, best.violation, best.phi]) == bits(
+            [objective[expected[0]], violation[expected[0]], phi[expected[0]]])
+        if len(rows) % 2 == 0:
+            assert assign_roles(cohort) == expected
+
+
+class TestCollisionState:
+    @settings(max_examples=200)
+    @given(st.integers(1, 10), st.integers(0, 2 ** 32 - 1), st.data())
+    def test_equals_array_twin(self, pairs, seed, data):
+        rng = make_rng(seed)
+        ranked = rng.uniform(-2.0, 2.0, (2 * pairs, 3))
+        # signed zeros in the offsets, and pairs with both masses zero
+        ranked[rng.random(ranked.shape) < 0.2] = -0.0
+        masses = data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 1e-300, 0.5]),
+                                    min_size=2 * pairs, max_size=2 * pairs))
+        eps = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+        assert bits(collision_state(ranked, masses, eps)) == bits(
+            array_twins.collision_state(ranked, np.array(masses), eps))
+
+
+class TestLearningAttempt:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(list(NegativeMode)))
+    def test_equals_array_twin_with_ties(self, cohort_size, variations, seed, mode):
+        # a coarse objective and constraint make equal phis common
+        problem = make_problem(
+            dim=2, lower=-2.0, upper=2.0,
+            kinds=(VarKind.INTEGER, VarKind.CONTINUOUS),
+            objective=lambda x: float(x[0]) * 0.0 if x[1] > 0 else float(x[0]),
+            inequality=(lambda x: float(round(x[1])),))
+        cfg = CiConfig(cohort_size=cohort_size, variations_per_attempt=variations,
+                       penalty=PenaltyConfig(negative_mode=mode))
+        cohort = initialize_cohort(problem, cfg, make_rng(seed), EvalCounter())
+        new = learning_attempt(cohort, problem, cfg, make_rng(seed + 1), EvalCounter())
+        twin = array_twins.learning_attempt(
+            cohort.positions, cohort.interval_lower, cohort.interval_upper,
+            np.array(cohort.phi), problem, cfg, make_rng(seed + 1), EvalCounter())
+        ours = (new.positions, new.objective, new.violation, new.phi,
+                new.interval_lower, new.interval_upper)
+        for mine, theirs in zip(ours, twin):
+            assert bits(mine) == bits(theirs)
 
 
 def unit_rows(dimension):
@@ -133,6 +248,7 @@ class TestEvaluateRows:
         points = clip_to_bounds(bounds.lower + unit * bounds.width, bounds,
                                 problem.integer_index)
         f, v = evaluate_rows(problem, points)
+        assert all(type(value) is float for value in f + v)
         reference = [evaluate(problem, x) for x in points]
         assert bits(f) == bits([ev.objective for ev in reference])
         assert bits(v) == bits([ev.violation for ev in reference])
@@ -169,7 +285,7 @@ class TestEvaluateRows:
         problem = replace(make_problem(dim=2, inequality=(zero, zero), equality=(zero,)),
                           point_fn=point)
         points = np.array([[0.5, 0.0], [1.5, 2.0]])
-        assert evaluate_rows(problem, points[:1])[1].tolist() == [0.0]
+        assert evaluate_rows(problem, points[:1])[1] == [0.0]
         with pytest.raises(EvaluationFaultError) as scalar:
             evaluate(problem, points[1])
         with pytest.raises(EvaluationFaultError) as rows:
@@ -189,9 +305,9 @@ class TestEvaluateRows:
         f, v = evaluate_rows(problem, points)
         assert np.array_equal(points, kept)
         reference = [evaluate(problem, x) for x in kept]
-        assert f.tolist() == [ev.objective for ev in reference] == [3.0, -1.0]
+        assert f == [ev.objective for ev in reference] == [3.0, -1.0]
         # the constraint sees the row the objective wrote into, as in evaluate
-        assert v.tolist() == [ev.violation for ev in reference] == [49.0, 49.0]
+        assert v == [ev.violation for ev in reference] == [49.0, 49.0]
 
     def test_counts_one_evaluation_per_row(self, sphere_problem):
         counter = EvalCounter()

@@ -147,3 +147,13 @@ class TestConfigValidation:
         # 0 at a violated point, and score(0.0, inf) a NaN phi
         with pytest.raises(ValueError):
             PenaltyConfig(near_zero_threshold=0.0, int_offset=1.0)
+
+    @pytest.mark.parametrize("key", ["near_zero_threshold", "int_offset",
+                                     "infinity_substitute"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, key, value):
+        # a NaN threshold sent f == 0 to the standard branch (penalty 0 at
+        # V = 1, phi NaN at V = inf); a NaN or inf offset gave phi NaN at
+        # f = V = 0, and a NaN substitute phi NaN at every infinite f
+        with pytest.raises(ValueError, match=key):
+            PenaltyConfig(**{key: value})

@@ -43,12 +43,22 @@ def traced_and_plain(problem, algorithm, solver):
     return tracer, plain
 
 
+def assert_spans_per_attempt(tracer, plain, step_span, initialisations=1):
+    """The engines looked up every rebound name at call time: one step,
+    saturation test and selection span per attempt, and one clip per
+    attempt and per cohort initialisation."""
+    attempts = plain.learning_attempts
+    assert tracer.calls[step_span] == attempts
+    assert tracer.calls["cohort.run_saturated"] == attempts
+    assert tracer.calls["cohort.selection_probabilities"] == attempts
+    assert tracer.calls["cohort.initialize_cohort"] == initialisations
+    assert tracer.calls["problem.clip_to_bounds"] == attempts + initialisations
+
+
 @ENGINES
 def test_traced_run_is_bit_identical(algorithm, solver, step_span):
     tracer, plain = traced_and_plain(suite.get_problem("RC20"), algorithm, solver)
-    # one span per learning attempt: the engines called the rebound names
-    assert tracer.calls[step_span] == plain.learning_attempts
-    assert tracer.calls["cohort.run_saturated"] == plain.learning_attempts
+    assert_spans_per_attempt(tracer, plain, step_span)
     # registry problems are evaluated through point_fn, which is not wrapped
     assert tracer.calls["suite.fn"] == 0
 
@@ -58,5 +68,15 @@ def test_scalar_callables_traced_once_per_evaluation(algorithm, solver, step_spa
     problem = make_problem(dim=2, inequality=(
         lambda x: x[0] - 1.0, lambda x: -x[1], lambda x: x[0] + x[1] - 3.0))
     tracer, plain = traced_and_plain(problem, algorithm, solver)
-    assert tracer.calls[step_span] == plain.learning_attempts
+    assert_spans_per_attempt(tracer, plain, step_span)
     assert tracer.calls["suite.fn"] == 4 * plain.function_evaluations
+
+
+def test_restarts_clip_once_per_initialisation(floor_problem):
+    solver = CiConfig(max_function_evaluations=600, restart_on_saturation=True,
+                      saturation_window=5, saturation_tolerance=5e-2)
+    tracer, plain = traced_and_plain(floor_problem, Algorithm.CI_SAPF, solver)
+    restarts = (plain.function_evaluations - solver.cohort_size) // solver.cohort_size \
+        - plain.learning_attempts
+    assert restarts >= 1
+    assert_spans_per_attempt(tracer, plain, "cohort.learning_attempt", 1 + restarts)
