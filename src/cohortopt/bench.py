@@ -227,11 +227,11 @@ def emit_report(outcomes: Sequence[ExperimentOutcome],
     for outcome in ordered:
         for run_index, result in enumerate(outcome.results):
             trace_path = out_dir / f"trace_{outcome.problem_id}_{run_index}.csv"
+            trace = result.trace
             rows = ["attempt,best_phi,best_f,best_violation"]
-            rows.extend(
-                f"{rec.attempt},{_fmt(rec.best_phi)},{_fmt(rec.best_f)},"
-                f"{_fmt(rec.best_violation)}"
-                for rec in result.trace)
+            # _fmt's float format, straight from the trace's columns
+            rows.extend(f"{i},{phi:.10g},{f:.10g},{v:.10g}" for i, (phi, f, v) in enumerate(
+                zip(trace.best_phi, trace.best_f, trace.best_violation), 1))
             _write_text(trace_path, "\n".join(rows) + "\n")
             written.append(trace_path)
     return written

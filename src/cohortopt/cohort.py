@@ -57,6 +57,9 @@ class Cohort:
 
     ``interval_lower``/``interval_upper`` are ci-sapf's per-variable
     sampling intervals; the collision engine leaves them at the bounds.
+    ``keys`` holds each candidate's :func:`incumbent_key`, computed once
+    when the cohort is built; the engines never change a cohort after
+    building it.
     """
 
     positions: np.ndarray        # (C, D), clipped and rounded
@@ -65,6 +68,10 @@ class Cohort:
     phi: list[float]
     interval_lower: np.ndarray   # (C, D)
     interval_upper: np.ndarray   # (C, D)
+    keys: list[tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.keys = list(map(incumbent_key, self.objective, self.violation, self.phi))
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,12 @@ class CiConfig:
             raise ValueError("variations_per_attempt must be positive")
         if self.max_learning_attempts < 1 or self.max_function_evaluations < 1:
             raise ValueError("budgets must be positive")
+        if self.max_function_evaluations < self.cohort_size:
+            raise ValueError(
+                f"max_function_evaluations ({self.max_function_evaluations}) cannot pay "
+                f"for the first cohort of cohort_size ({self.cohort_size}) evaluations")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.saturation_window < 2:
             raise ValueError("saturation_window must be at least 2")
         # false for NaN too, which would never let a run saturate
@@ -176,14 +189,10 @@ def incumbent_key(objective: float, violation: float, phi: float) -> tuple:
     return (1, violation, phi)
 
 
-def _incumbent_keys(cohort: Cohort) -> list[tuple]:
-    return list(map(incumbent_key, cohort.objective, cohort.violation, cohort.phi))
-
-
 def rank_order(cohort: Cohort) -> list[int]:
     """Cohort indices sorted ascending under :func:`incumbent_key`; the
     sort is stable, so equal keys keep index order."""
-    keys = _incumbent_keys(cohort)
+    keys = cohort.keys
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
@@ -201,10 +210,11 @@ def offer(incumbent: Optional[Incumbent], cohort: Cohort) -> Incumbent:
     """The incumbent after seeing every cohort member, as if offered one
     by one in index order: the cohort's best (first of equals) replaces
     the incumbent only if strictly better."""
-    keys = _incumbent_keys(cohort)
-    i = keys.index(min(keys))   # min keeps the first of equal keys
-    if incumbent is None or keys[i] < incumbent_key(
+    keys = cohort.keys
+    best = min(keys)
+    if incumbent is None or best < incumbent_key(
             incumbent.objective, incumbent.violation, incumbent.phi):
+        i = keys.index(best)   # the first of equal keys
         return Incumbent(cohort.positions[i].copy(), cohort.objective[i],
                          cohort.violation[i], cohort.phi[i])
     return incumbent
@@ -318,11 +328,20 @@ def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
                             problem.integer_index)
     objective, violation = evaluate_rows(problem, points, counter)
     phi = score_phis(objective, violation, cfg.penalty)
-    # unconditional adoption: the new behavior replaces the old one; the
-    # first of equal phis is the first index equal to the minimum
-    best = [phi.index(min(phi[k:k + t]), k) for k in range(0, c * t, t)]
-    return Cohort(points.take(best, axis=0), [objective[i] for i in best],
-                  [violation[i] for i in best], [phi[i] for i in best], lo, hi)
+    # unconditional adoption: each candidate's best variation replaces its
+    # old behavior; the strict < keeps the first of equal phis
+    best, kept_objective, kept_violation, kept_phi = [], [], [], []
+    for k in range(0, c * t, t):
+        i, low = k, phi[k]
+        for j in range(k + 1, k + t):
+            if phi[j] < low:
+                i, low = j, phi[j]
+        best.append(i)
+        kept_objective.append(objective[i])
+        kept_violation.append(violation[i])
+        kept_phi.append(low)
+    return Cohort(points.take(best, axis=0), kept_objective, kept_violation,
+                  kept_phi, lo, hi)
 
 
 def check_saturation(phis: Sequence[float], window: int, tol: float,
@@ -350,8 +369,9 @@ def run_saturated(cohort: Cohort, trace: Trace,
     almost the same. Requiring cohort consensus too keeps a momentary
     stall of the best-so-far from ending a run whose candidates are still
     spread out and learning."""
-    return (check_saturation(trace.best_phi, window, tol, start)
-            and cohort_spread(cohort) <= tol)
+    # the C-float spread first: both tests are pure, and it is the cheaper
+    return (cohort_spread(cohort) <= tol
+            and check_saturation(trace.best_phi, window, tol, start))
 
 
 def run_cohort(problem: ProblemDefinition, cfg, per_attempt: int,

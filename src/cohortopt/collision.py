@@ -54,6 +54,12 @@ class CboConfig:
             raise ValueError("cohort_size must be an even integer >= 2")
         if self.max_learning_attempts < 1 or self.max_function_evaluations < 1:
             raise ValueError("budgets must be positive")
+        if self.max_function_evaluations < self.cohort_size:
+            raise ValueError(
+                f"max_function_evaluations ({self.max_function_evaluations}) cannot pay "
+                f"for the first cohort of cohort_size ({self.cohort_size}) evaluations")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.saturation_window < 2:
             raise ValueError("saturation_window must be at least 2")
         # false for NaN too, which would never let a run saturate
@@ -130,7 +136,9 @@ def collision_state(ranked_positions: np.ndarray, ranked_masses: Sequence[float]
             moving.append(0.0)
             dead += [k, half + k]
     v = ranked_positions[half:] - ranked_positions[:half]
-    after = np.array(stationary + moving)[:, None] * np.concatenate((v, v))
+    # (2, C/2, D): the stationary then the moving factors times each offset
+    after = (np.array(stationary + moving).reshape(2, half, 1) * v).reshape(
+        ranked_positions.shape)
     if dead:
         after[dead] = 0.0   # 0.0 * v would be -0.0 where v < 0
     return after
@@ -146,10 +154,12 @@ def update_positions(ranked_positions: np.ndarray, velocities_after: np.ndarray,
     from its own position; a moving body relocates relative to its
     partner's old position, so every body moves from a stationary one.
     """
-    stationary = ranked_positions[:len(ranked_positions) // 2]
-    base = np.concatenate((stationary, stationary))
-    rand = rng.uniform(-1.0, 1.0, ranked_positions.shape)
-    return clip_to_bounds(base + rand * velocities_after, problem.bounds,
+    c, dim = ranked_positions.shape
+    stationary = ranked_positions[:c // 2]
+    rand = rng.uniform(-1.0, 1.0, (c, dim))
+    # every body moves from a stationary one: (2, C/2, D) over the pairs
+    moved = stationary + (rand * velocities_after).reshape(2, c // 2, dim)
+    return clip_to_bounds(moved.reshape(c, dim), problem.bounds,
                           problem.integer_index)
 
 

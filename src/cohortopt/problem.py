@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -123,7 +124,7 @@ class ProblemDefinition:
     #: :func:`evaluate_rows` call only it, so the scalar callables must
     #: return the same values.
     point_fn: Optional[Callable[[list], tuple]] = None
-    #: Indices of the integer dimensions, derived from ``kinds``.
+    #: Boolean index of the integer dimensions, derived from ``kinds``.
     integer_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -180,17 +181,19 @@ def _sum_violation(g_values: Sequence[float], h_values: Sequence[float],
 
 
 def integer_index(kinds: Sequence[VarKind]) -> np.ndarray:
-    """Indices of the integer dimensions among ``kinds``."""
-    return np.flatnonzero([kind is VarKind.INTEGER for kind in kinds])
+    """Boolean index of the integer dimensions among ``kinds``: True
+    where the kind is integer."""
+    return np.array([kind is VarKind.INTEGER for kind in kinds], dtype=bool)
 
 
 def round_integers(x: Vector, integer_dims: np.ndarray) -> Vector:
-    """A copy of ``x`` (one point or rows of points) with the integer
-    dimensions rounded to the nearest integral value."""
-    out = np.array(x, dtype=float)
-    if integer_dims.size:
-        out[..., integer_dims] = np.rint(out[..., integer_dims])
-    return out
+    """Round the integer dimensions of ``x`` (one float point or rows of
+    points), given by the boolean index ``integer_dims``, to the nearest
+    integral value in place; returns ``x``."""
+    # one masked ufunc call: a fancy-index get and set would cost more
+    if any(integer_dims.tolist()):
+        np.rint(x, out=x, where=integer_dims)
+    return x
 
 
 def clip_to_bounds(x: Vector, bounds: Bounds, integer_dims: np.ndarray) -> Vector:
@@ -204,7 +207,8 @@ def clip_to_bounds(x: Vector, bounds: Bounds, integer_dims: np.ndarray) -> Vecto
     if x.shape[-1] != len(bounds):
         raise DimensionMismatchError(
             f"vector has length {x.shape[-1]}, bounds have length {len(bounds)}")
-    # np.clip's values, signed zeros included, for less call overhead
+    # np.clip's values, signed zeros included, for less call overhead; the
+    # rounding writes into the fresh np.minimum output
     return round_integers(np.minimum(np.maximum(x, bounds.lower), bounds.upper),
                           integer_dims)
 
@@ -263,7 +267,7 @@ def evaluate(problem: ProblemDefinition, x: Vector,
     :class:`EvaluationFaultError`; infinities pass through untouched.
     Counts as exactly one function evaluation.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)   # rounded in place below
     if x.ndim != 1 or x.shape[0] != problem.dimension:
         raise DimensionMismatchError(
             f"problem {problem.id!r} has dimension {problem.dimension}, "
@@ -292,28 +296,38 @@ def evaluate_rows(problem: ProblemDefinition, points: np.ndarray,
     writes into its argument cannot alter ``points``. Counts as n function
     evaluations.
     """
-    rows = np.array(points, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != problem.dimension:
+    if points.ndim != 2 or points.shape[1] != problem.dimension:
         raise DimensionMismatchError(
             f"problem {problem.id!r} has dimension {problem.dimension}, "
-            f"got points of shape {rows.shape}")
+            f"got points of shape {points.shape}")
+    if problem.point_fn is None:
+        # _call_at raises on a NaN from the callables itself
+        rows, call = np.array(points, dtype=float), partial(_call_at, problem)
+    else:
+        rows, call = points.tolist(), problem.point_fn
     eps = problem.equality_tolerance
     objectives = []
     violations = []
-    if problem.point_fn is None:
-        for x in rows:
-            f, g_values, h_values = _call_at(problem, x)
-            objectives.append(f)
-            violations.append(_sum_violation(g_values, h_values, eps))
-    else:
-        point_fn = problem.point_fn
-        for x in rows.tolist():
-            f, g_values, h_values = point_fn(x)
-            screen = f + sum(g_values) + sum(h_values)
-            if screen != screen:  # any NaN makes the sum NaN
+    for x in rows:
+        f, g_values, h_values = call(x)
+        # _sum_violation inline: a term adds only when positive, which adds
+        # the same bits as max(0.0, term) to a total that is at least +0.0
+        total = 0.0
+        for g in g_values:
+            if g > 0.0:
+                total += g
+            elif g != g:
                 _raise_on_nan(problem, x, f, g_values, h_values)
-            objectives.append(float(f))
-            violations.append(float(_sum_violation(g_values, h_values, eps)))
+        for h in h_values:
+            h = abs(h) - eps
+            if h > 0.0:
+                total += h
+            elif h != h:
+                _raise_on_nan(problem, x, f, g_values, h_values)
+        if f != f:
+            _raise_on_nan(problem, x, f, g_values, h_values)
+        objectives.append(float(f))
+        violations.append(float(total))
     if counter is not None:
         counter.count += len(rows)
     return objectives, violations

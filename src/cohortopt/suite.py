@@ -226,10 +226,12 @@ def _rc19() -> ProblemRecord:
     # classical formulation and self-checks against its own optimum.
     P, L, E, G = 6000.0, 14.0, 30e6, 12e6
     t_max, s_max, d_max = 13600.0, 30000.0, 0.25
+    # constant subexpressions of the formulas, evaluated once
+    sqrt2, sqrt_e_4g, l_2, l_3 = math.sqrt(2.0), math.sqrt(E / (4.0 * G)), L ** 2, L ** 3
 
     def point(x):
         x1, x2, x3, x4 = x
-        weld = math.sqrt(2.0) * x1 * x2
+        weld = sqrt2 * x1 * x2
         spread = ((x1 + x3) / 2.0) ** 2
         t1 = P / weld
         m = P * (L + x2 / 2.0)
@@ -237,13 +239,13 @@ def _rc19() -> ProblemRecord:
         j = 2.0 * (weld * (x2 ** 2 / 12.0 + spread))
         t2 = m * r / j
         shear = math.sqrt(t1 ** 2 + 2.0 * t1 * t2 * x2 / (2.0 * r) + t2 ** 2)
-        buckling = (4.013 * E * math.sqrt(x3 ** 2 * x4 ** 6 / 36.0) / L ** 2
-                    * (1.0 - x3 * math.sqrt(E / (4.0 * G)) / (2.0 * L)))
+        buckling = (4.013 * E * math.sqrt(x3 ** 2 * x4 ** 6 / 36.0) / l_2
+                    * (1.0 - x3 * sqrt_e_4g / (2.0 * L)))
         return 1.10471 * x1 ** 2 * x2 + 0.04811 * x3 * x4 * (14.0 + x2), (
             shear - t_max,
             6.0 * P * L / (x4 * x3 ** 2) - s_max,
             x1 - x4,
-            4.0 * P * L ** 3 / (E * x3 ** 3 * x4) - d_max,
+            4.0 * P * l_3 / (E * x3 ** 3 * x4) - d_max,
             P - buckling,
         ), ()
 
@@ -259,18 +261,19 @@ def _rc20() -> ProblemRecord:
     # stress limits in each bar; load 2, allowable stress 2, span 100.
     # A subnormal denominator gives inf (Python float quotients do not warn).
     load, stress = 2.0, 2.0
+    sqrt2 = math.sqrt(2.0)
 
     def point(x):
         x1, x2 = x
-        denom = math.sqrt(2.0) * x1 ** 2 + 2.0 * x1 * x2
+        denom = sqrt2 * x1 ** 2 + 2.0 * x1 * x2
         if denom <= 0.0:
             g1 = g2 = math.inf
         else:
-            g1 = (math.sqrt(2.0) * x1 + x2) / denom * load - stress
+            g1 = (sqrt2 * x1 + x2) / denom * load - stress
             g2 = x2 / denom * load - stress
-        denom3 = x1 + math.sqrt(2.0) * x2
+        denom3 = x1 + sqrt2 * x2
         g3 = math.inf if denom3 <= 0.0 else 1.0 / denom3 * load - stress
-        return (2.0 * math.sqrt(2.0) * x1 + x2) * 100.0, (g1, g2, g3), ()
+        return (2.0 * sqrt2 * x1 + x2) * 100.0, (g1, g2, g3), ()
 
     return _record(point, id="RC20", name="Three-bar truss design problem",
                    category=Category.MECHANICAL, best_known=263.89584338, kinds=(C, C),
@@ -287,6 +290,7 @@ def _rc21() -> ProblemRecord:
     # are omitted from the catalog count.
     mf, ms, iz, n_rpm, t_max, s_f = 3.0, 40.0, 55.0, 250.0, 15.0, 1.5
     delta, v_max, rho, p_max, mu, l_max, dr = 0.5, 10.0, 7.8e-6, 1.0, 0.6, 30.0, 20.0
+    omega = math.pi * n_rpm / 30.0   # rad/s
 
     def point(x):
         ri, ro, t, f_act, z = x
@@ -297,7 +301,7 @@ def _rc21() -> ProblemRecord:
         vsr = math.pi * rsr * n_rpm / 30.0 / 1000.0          # m/s
         prz = f_act / area
         mh = 2.0 / 3.0 * mu * f_act * z * ro3_ri3 / ro2_ri2 / 1000.0  # N*m
-        t_act = iz * (math.pi * n_rpm / 30.0) / (mh + mf)
+        t_act = iz * omega / (mh + mf)
         return area * t * (z + 1.0) * rho, (
             dr + ri - ro,
             (z + 1.0) * (t + delta) - l_max,

@@ -8,18 +8,20 @@ from cohortopt import Algorithm, CiConfig, RunResult, suite
 from cohortopt.bench import (
     ExperimentConfig,
     ExperimentOutcome,
+    _fmt,
     compute_statistics,
     emit_report,
     run_experiment,
     solve_once,
 )
+from cohortopt.cohort import Trace
 
 
 def run_result(objective, violation=0.0, fe=100, attempts=10, wall=0.01):
     return RunResult(best_position=np.array([0.0]), best_objective=objective,
                      best_phi=objective, best_violation=violation,
                      feasible=violation == 0.0, function_evaluations=fe,
-                     learning_attempts=attempts, wall_time=wall, trace=[])
+                     learning_attempts=attempts, wall_time=wall, trace=Trace())
 
 
 class TestComputeStatistics:
@@ -212,6 +214,26 @@ class TestEmitReport:
             phi, f, violation = float(phi), float(f), float(violation)
             keys.append((0, f, phi) if violation == 0.0 else (1, violation, phi))
         assert all(b <= a for a, b in zip(keys, keys[1:]))
+
+    def test_trace_csv_bytes_equal_record_by_record_fmt(self, tmp_path):
+        edge = [math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                1e-300, -1e-300, 1.0 / 3.0, 263.8958433765]
+        result = run_result(1.0)
+        for i, value in enumerate(edge):
+            result.trace.append(value, edge[-1 - i], edge[(i + 3) % len(edge)])
+        stats = compute_statistics([result], "RC20", "ci-sapf")
+        emit_report([ExperimentOutcome(problem_id="RC20", algorithm=Algorithm.CI_SAPF,
+                                       statistics=stats, results=[result], base_seed=0)],
+                    tmp_path / "g")
+        expected = "\n".join(
+            ["attempt,best_phi,best_f,best_violation"]
+            + [f"{rec.attempt},{_fmt(rec.best_phi)},{_fmt(rec.best_f)},"
+               f"{_fmt(rec.best_violation)}" for rec in result.trace]) + "\n"
+        written = (tmp_path / "g" / "trace_RC20_0.csv").read_bytes()
+        assert written == expected.encode("utf-8")
+        assert written.splitlines()[1:4] == [b"1,inf,263.8958434,0",
+                                             b"2,-inf,0.3333333333,4.940656458e-324",
+                                             b"3,-0,-1e-300,2.225073859e-308"]
 
     def test_empty_outcomes_rejected(self, tmp_path):
         with pytest.raises(ValueError):

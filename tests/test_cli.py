@@ -97,6 +97,18 @@ class TestRun:
         assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("algo", ["ci-sapf", "ci-sapf-cbo"])
+    @pytest.mark.parametrize("flags, named", [(["--max-fe", "3"], "max_function_evaluations"),
+                                              (["--seed", "-1"], "seed")])
+    def test_unusable_budget_or_seed_is_an_error(self, capsys, tmp_path, algo, flags, named):
+        # --max-fe 3 ran, spent a first cohort of 5 or 6 and exited 0
+        out_dir = tmp_path / "bad"
+        code, _, err = run_cli(capsys, "run", "--algo", algo, "--problem", "RC20",
+                               "--runs", "1", *flags, "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ") and named in err
+        assert not out_dir.exists()
+
     def test_missing_out_errors(self, capsys):
         code, _, err = run_cli(capsys, "run", "--algo", "ci-sapf", "--problem", "RC20")
         assert code == 1

@@ -185,6 +185,16 @@ class TestCiConfig:
         with pytest.raises(ValueError, match="saturation_tolerance"):
             CiConfig(saturation_tolerance=tol)
 
+    def test_budget_must_pay_for_the_first_cohort(self):
+        # a run of this config spent 5 evaluations against a budget of 3
+        with pytest.raises(ValueError, match="max_function_evaluations"):
+            CiConfig(cohort_size=5, max_function_evaluations=3)
+        CiConfig(cohort_size=5, max_function_evaluations=5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            CiConfig(seed=-1)
+
 
 class TestCheckSaturation:
     def test_constant_trace_saturates(self):

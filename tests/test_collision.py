@@ -195,6 +195,15 @@ class TestCboConfig:
         with pytest.raises(ValueError, match="saturation_tolerance"):
             CboConfig(saturation_tolerance=tol)
 
+    def test_budget_must_pay_for_the_first_cohort(self):
+        with pytest.raises(ValueError, match="max_function_evaluations"):
+            CboConfig(cohort_size=6, max_function_evaluations=5)
+        CboConfig(cohort_size=6, max_function_evaluations=6)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            CboConfig(seed=-1)
+
 
 class TestCboRun:
     def test_fe_accounting(self, sphere_problem):

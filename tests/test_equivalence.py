@@ -35,6 +35,7 @@ from cohortopt.problem import (
 from cohortopt.penalty import score, score_phis
 from cohortopt.cohort import (
     Cohort,
+    incumbent_key,
     initialize_cohort,
     learning_attempt,
     offer,
@@ -44,7 +45,7 @@ from cohortopt.cohort import (
     selection_probabilities,
     shrink_interval,
 )
-from cohortopt.collision import assign_roles, collision_state
+from cohortopt.collision import CboConfig, assign_roles, collision_attempt, collision_state
 from conftest import make_problem
 
 INF = math.inf
@@ -230,6 +231,27 @@ class TestLearningAttempt:
             assert bits(mine) == bits(theirs)
 
 
+class TestCohortKeys:
+    @pytest.mark.parametrize("engine", ["ci-sapf", "ci-sapf-cbo"])
+    def test_cached_keys_equal_incumbent_key_after_every_step(self, engine):
+        # a coarse objective and constraint: equal, feasible, infeasible
+        # and signed-zero values all occur
+        problem = make_problem(
+            dim=2, lower=-2.0, upper=2.0, kinds=(VarKind.INTEGER, VarKind.CONTINUOUS),
+            objective=lambda x: -0.0 if x[1] > 0 else float(x[0]),
+            inequality=(lambda x: float(round(x[1])),))
+        if engine == "ci-sapf":
+            cfg, step = CiConfig(cohort_size=6, variations_per_attempt=2), learning_attempt
+        else:
+            cfg, step = CboConfig(cohort_size=6), collision_attempt
+        rng, counter = make_rng(7), EvalCounter()
+        cohort = initialize_cohort(problem, cfg, rng, counter)
+        for attempt in range(30):
+            expected = list(map(incumbent_key, cohort.objective, cohort.violation, cohort.phi))
+            assert cohort.keys == expected and repr(cohort.keys) == repr(expected)
+            cohort = step(cohort, problem, cfg, rng, counter, attempt)
+
+
 def unit_rows(dimension):
     # k / 2**53 like the engines' uniform draws; 0 is left out because
     # some registry callables divide by zero at their lower bounds
@@ -291,6 +313,45 @@ class TestEvaluateRows:
         with pytest.raises(EvaluationFaultError) as rows:
             evaluate_rows(problem, points)
         assert str(rows.value) == str(scalar.value) == f"{message} returned NaN at [1.5, 2.0]"
+
+    @pytest.mark.parametrize("f, g_values, h_values", [
+        # numpy scalars and ints come back as Python floats
+        (np.float64(2.5), (np.float64(-1.0), np.float64(0.25)), (np.float64(0.5),)),
+        (3, (2, -1), (0, 1)),
+        # a -0.0 g and |h| == eps exactly add nothing
+        (1.0, (-0.0, 0.0, -1.0), (1e-4, -1e-4)),
+        # inf and -inf together are not a NaN
+        (math.inf, (-math.inf, math.inf), (-math.inf,)),
+        (-math.inf, (-math.inf, 1.0), (math.inf, 2.0)),
+    ])
+    @pytest.mark.parametrize("path", ["point_fn", "callables"])
+    def test_edge_values_equal_evaluate(self, f, g_values, h_values, path):
+        problem = make_problem(
+            dim=2, objective=lambda x: f,
+            inequality=[lambda x, g=g: g for g in g_values],
+            equality=[lambda x, h=h: h for h in h_values])
+        if path == "point_fn":
+            problem = replace(problem, point_fn=lambda x: (f, g_values, h_values))
+        points = np.array([[0.5, 0.0], [1.5, 2.0]])
+        objective, violation = evaluate_rows(problem, points)
+        assert all(type(value) is float for value in objective + violation)
+        reference = [evaluate(problem, x) for x in points]
+        assert bits(objective) == bits([ev.objective for ev in reference])
+        assert bits(violation) == bits([ev.violation for ev in reference])
+        if f == 1.0:
+            assert bits(violation) == bits([0.0, 0.0])
+
+    def test_point_fn_nan_message_names_the_first_nan(self):
+        # NaN in an equality and in a later inequality: the inequality is
+        # named, as evaluate names it
+        problem = replace(make_problem(dim=2), point_fn=lambda x: (
+            1.0, (2.0, -math.inf, math.nan), (math.nan,)))
+        with pytest.raises(EvaluationFaultError) as scalar:
+            evaluate(problem, np.zeros(2))
+        with pytest.raises(EvaluationFaultError) as rows:
+            evaluate_rows(problem, np.zeros((1, 2)))
+        assert str(rows.value) == str(scalar.value) == (
+            "inequality constraint 2 of 'toy' returned NaN at [0.0, 0.0]")
 
     def test_mutating_callable_cannot_alter_points(self):
         def scribble(x):

@@ -102,16 +102,19 @@ def problems(draw):
 @st.composite
 def solvers(draw):
     penalty = PenaltyConfig(negative_mode=draw(st.sampled_from(list(NegativeMode))))
-    budgets = dict(max_learning_attempts=draw(st.integers(1, 12)),
-                   max_function_evaluations=draw(st.integers(1, 150)),
+    ci = draw(st.booleans())
+    cohort_size = draw(st.integers(2, 6)) if ci else 2 * draw(st.integers(1, 4))
+    # a budget below cohort_size cannot pay for the first cohort: the
+    # configs reject it
+    budgets = dict(cohort_size=cohort_size,
+                   max_learning_attempts=draw(st.integers(1, 12)),
+                   max_function_evaluations=draw(st.integers(cohort_size, 150)),
                    saturation_window=draw(st.integers(2, 6)), penalty=penalty)
-    if draw(st.booleans()):
+    if ci:
         return Algorithm.CI_SAPF, CiConfig(
-            cohort_size=draw(st.integers(2, 6)),
             variations_per_attempt=draw(st.integers(1, 3)),
             reduction_factor=draw(st.sampled_from([0.5, 0.9, 0.99])), **budgets)
-    return Algorithm.CI_SAPF_CBO, CboConfig(
-        cohort_size=2 * draw(st.integers(1, 4)), **budgets)
+    return Algorithm.CI_SAPF_CBO, CboConfig(**budgets)
 
 
 @settings(max_examples=300, deadline=None)

@@ -34,7 +34,8 @@ def points(record) -> list[np.ndarray]:
     raw = [np.array(record.optimum_hint), bounds.lower, bounds.upper]
     raw += [bounds.lower + rng.random(problem.dimension) * bounds.width
             for _ in range(UNIFORM_POINTS)]
-    return [round_integers(x, problem.integer_index) for x in raw]
+    # round_integers rounds in place: round copies, not the bounds themselves
+    return [round_integers(np.array(x, dtype=float), problem.integer_index) for x in raw]
 
 
 def _hex(values) -> list[str]:
