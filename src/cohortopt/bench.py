@@ -183,10 +183,19 @@ def emit_report(outcomes: Sequence[ExperimentOutcome],
 
     File bodies contain no timestamps, so a rerun with the same
     configuration produces byte-identical output. All numbers are
-    serialized with 10 significant digits.
+    serialized with 10 significant digits. Trace files are named by
+    problem id and run, so two outcomes of one problem (say, of both
+    engines) are rejected before anything is written: report them to
+    separate directories.
     """
     if not outcomes:
         raise ValueError("no experiment outcomes to report")
+    seen = set()
+    for outcome in outcomes:
+        if outcome.problem_id in seen:
+            raise ValueError(f"two outcomes for problem {outcome.problem_id!r}: their "
+                             f"trace files would overwrite each other")
+        seen.add(outcome.problem_id)
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

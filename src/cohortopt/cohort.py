@@ -46,20 +46,18 @@ from .problem import (
 from .problem import evaluate  # noqa: F401  scalar reference, rebound by perfbench's tracer
 
 INF = math.inf
-# n terms in [0, 2**1022 / n] cannot sum to an overflow in any order, so
-# their reduction needs no np.errstate (which costs more than the sum)
-_NO_OVERFLOW = 2.0 ** 1022
 
 
 @dataclass
 class Cohort:
     """The C candidates; row or item i of each field is candidate i.
 
-    ``interval_lower``/``interval_upper`` are ci-sapf's per-variable
-    sampling intervals; the collision engine leaves them at the bounds.
-    ``keys`` holds each candidate's :func:`incumbent_key`, computed once
-    when the cohort is built; the engines never change a cohort after
-    building it.
+    ``interval_lower`` and ``interval_width`` are the lower ends and the
+    widths of ci-sapf's per-variable sampling intervals; the next shrink
+    reads the width as it is, so it is never recomputed from the ends. The
+    collision engine leaves them at the bounds. ``keys`` holds each
+    candidate's :func:`incumbent_key`, computed once when the cohort is
+    built; the engines never change a cohort after building it.
     """
 
     positions: np.ndarray        # (C, D), clipped and rounded
@@ -67,7 +65,7 @@ class Cohort:
     violation: list[float]
     phi: list[float]
     interval_lower: np.ndarray   # (C, D)
-    interval_upper: np.ndarray   # (C, D)
+    interval_width: np.ndarray   # (C, D)
     keys: list[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -239,21 +237,43 @@ def selection_probabilities(phis: Sequence[float]) -> list[float]:
         # limit, so all weight concentrates on them
         share = 1.0 / inv.count(INF)
         return [share if x == INF else 0.0 for x in inv]
-    # numpy's pairwise summation order, which seeded results depend on
-    # from 8 terms on, where it differs from Python's sum
-    if top * len(inv) < _NO_OVERFLOW:
-        total = float(np.add.reduce(inv))
-    else:
-        with np.errstate(over="ignore"):
-            total = float(np.add.reduce(inv))
-        if total == INF:
-            # every 1/phi is finite but their sum is not: scale before summing
-            inv = [x / top for x in inv]
-            total = float(np.add.reduce(inv))
+    total = pairwise_sum(inv)
+    if total == INF:
+        # every 1/phi is finite but their sum is not: scale before summing
+        inv = [x / top for x in inv]
+        total = pairwise_sum(inv)
     if total == 0.0:
         # every behavior infinitely bad: follow uniformly
         return [1.0 / len(inv)] * len(inv)
     return [x / total for x in inv]
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """The sum of ``values`` with the bits of ``np.add.reduce`` on a float64
+    array, which seeded results depend on: under 8 terms left to right
+    from 0.0; up to 128 in eight accumulators (term i to accumulator
+    i % 8) added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    then the tail left to right; longer runs split at half the length
+    rounded down to a multiple of 8. The builtin ``sum`` rounds
+    differently (and is compensated from Python 3.12 on)."""
+    n = len(values)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+    if n < 8:
+        total, m = 0.0, 0
+    else:
+        m = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        for i in range(8, m, 8):
+            s0, s1, s2, s3, s4, s5, s6, s7 = values[i:i + 8]
+            r0, r1, r2, r3, r4, r5, r6, r7 = (
+                r0 + s0, r1 + s1, r2 + s2, r3 + s3, r4 + s4, r5 + s5, r6 + s6, r7 + s7)
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in values[m:]:
+        total += x
+    return total
 
 
 def roulette_select(probs: Sequence[float], u: float) -> int:
@@ -267,11 +287,12 @@ def roulette_select(probs: Sequence[float], u: float) -> int:
 
 
 def roulette_picks(probs: Sequence[float], draws: Sequence[float]) -> list[int]:
-    """``roulette_select(probs, u)`` for every draw ``u``: the first
-    cumulative probability above u, else the last index."""
+    """``roulette_select(probs, u)`` for every draw ``u`` in [0, 1): the
+    first cumulative probability above u, else the last index."""
     cumulative = list(accumulate(probs))
-    last = len(cumulative) - 1
-    return [min(bisect_right(cumulative, u), last) for u in draws]
+    # every draw is below +inf, so a shortfall lands on the last index
+    cumulative[-1] = INF
+    return [bisect_right(cumulative, u) for u in draws]
 
 
 def shrink_interval(followed_value, current_width, r: float, lower, upper):
@@ -295,12 +316,12 @@ def initialize_cohort(problem: ProblemDefinition, cfg: CiConfig,
     bounds = problem.bounds
     shape = (cfg.cohort_size, problem.dimension)
     points = clip_to_bounds(bounds.lower + rng.random(shape) * bounds.width,
-                            bounds, problem.integer_index)
+                            bounds, problem.rounding_index)
     objective, violation = evaluate_rows(problem, points, counter)
     return Cohort(points, objective, violation,
                   score_phis(objective, violation, cfg.penalty),
                   np.broadcast_to(bounds.lower, shape),
-                  np.broadcast_to(bounds.upper, shape))
+                  np.broadcast_to(bounds.width, shape))
 
 
 def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
@@ -312,22 +333,31 @@ def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
     Probabilities and followed positions are those at attempt start. The
     one draw of C rows of 1 + t*D numbers consumes the stream as the
     candidate-by-candidate order did: per candidate one roulette number,
-    then one D-vector per variation. Each candidate adopts its best
-    variation, the first of equals.
+    then one D-vector per variation. The shrink reads the cohort's carried
+    interval widths, and the new intervals' widths ``hi - lo``, which
+    scale the samples, are carried on to the next cohort. Each candidate
+    adopts its best variation, the first of equals; with one variation
+    per candidate (t = 1, the default) the drawn rows and their lists are
+    the next cohort as they are.
     """
     c, dim = cohort.positions.shape
     t = cfg.variations_per_attempt
     draws = rng.random((c, 1 + t * dim))
     picks = roulette_picks(selection_probabilities(cohort.phi), draws[:, 0].tolist())
     followed = cohort.positions.take(picks, axis=0)
-    lo, hi = shrink_interval(followed, cohort.interval_upper - cohort.interval_lower,
-                             cfg.reduction_factor, problem.bounds.lower,
-                             problem.bounds.upper)
-    samples = lo[:, None, :] + draws[:, 1:].reshape(c, t, dim) * (hi - lo)[:, None, :]
-    points = clip_to_bounds(samples.reshape(c * t, dim), problem.bounds,
-                            problem.integer_index)
+    lo, hi = shrink_interval(followed, cohort.interval_width, cfg.reduction_factor,
+                             problem.bounds.lower, problem.bounds.upper)
+    width = hi - lo
+    if t == 1:
+        samples = lo + draws[:, 1:] * width
+    else:
+        samples = (lo[:, None, :] + draws[:, 1:].reshape(c, t, dim)
+                   * width[:, None, :]).reshape(c * t, dim)
+    points = clip_to_bounds(samples, problem.bounds, problem.rounding_index)
     objective, violation = evaluate_rows(problem, points, counter)
     phi = score_phis(objective, violation, cfg.penalty)
+    if t == 1:
+        return Cohort(points, objective, violation, phi, lo, width)
     # unconditional adoption: each candidate's best variation replaces its
     # old behavior; the strict < keeps the first of equal phis
     best, kept_objective, kept_violation, kept_phi = [], [], [], []
@@ -341,7 +371,7 @@ def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
         kept_violation.append(violation[i])
         kept_phi.append(low)
     return Cohort(points.take(best, axis=0), kept_objective, kept_violation,
-                  kept_phi, lo, hi)
+                  kept_phi, lo, width)
 
 
 def check_saturation(phis: Sequence[float], window: int, tol: float,

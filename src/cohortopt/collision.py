@@ -160,7 +160,7 @@ def update_positions(ranked_positions: np.ndarray, velocities_after: np.ndarray,
     # every body moves from a stationary one: (2, C/2, D) over the pairs
     moved = stationary + (rand * velocities_after).reshape(2, c // 2, dim)
     return clip_to_bounds(moved.reshape(c, dim), problem.bounds,
-                          problem.integer_index)
+                          problem.rounding_index)
 
 
 def collision_attempt(cohort: Cohort, problem: ProblemDefinition,
@@ -185,7 +185,7 @@ def collision_attempt(cohort: Cohort, problem: ProblemDefinition,
     objective, violation = evaluate_rows(problem, points, counter)
     return Cohort(points, objective, violation,
                   score_phis(objective, violation, cfg.penalty),
-                  cohort.interval_lower, cohort.interval_upper)
+                  cohort.interval_lower, cohort.interval_width)
 
 
 def ci_sapf_cbo_run(problem: ProblemDefinition, cfg: CboConfig) -> RunResult:

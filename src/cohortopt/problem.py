@@ -126,6 +126,10 @@ class ProblemDefinition:
     point_fn: Optional[Callable[[list], tuple]] = None
     #: Boolean index of the integer dimensions, derived from ``kinds``.
     integer_index: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``integer_index`` if any dimension is integer, else None: what the
+    #: engines and :func:`evaluate` pass to the rounding, so that a problem
+    #: without integer dimensions skips it with no test of the index.
+    rounding_index: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -144,7 +148,9 @@ class ProblemDefinition:
                     raise ValueError(f"integer dimension {i} needs integral bounds")
         object.__setattr__(self, "inequality_fns", tuple(self.inequality_fns))
         object.__setattr__(self, "equality_fns", tuple(self.equality_fns))
-        object.__setattr__(self, "integer_index", integer_index(self.kinds))
+        index = integer_index(self.kinds)
+        object.__setattr__(self, "integer_index", index)
+        object.__setattr__(self, "rounding_index", index if index.any() else None)
 
 
 def make_rng(seed: int) -> RandomSource:
@@ -186,19 +192,21 @@ def integer_index(kinds: Sequence[VarKind]) -> np.ndarray:
     return np.array([kind is VarKind.INTEGER for kind in kinds], dtype=bool)
 
 
-def round_integers(x: Vector, integer_dims: np.ndarray) -> Vector:
+def round_integers(x: Vector, integer_dims: Optional[np.ndarray]) -> Vector:
     """Round the integer dimensions of ``x`` (one float point or rows of
     points), given by the boolean index ``integer_dims``, to the nearest
-    integral value in place; returns ``x``."""
+    integral value in place; returns ``x``. None rounds nothing."""
     # one masked ufunc call: a fancy-index get and set would cost more
-    if any(integer_dims.tolist()):
+    if integer_dims is not None:
         np.rint(x, out=x, where=integer_dims)
     return x
 
 
-def clip_to_bounds(x: Vector, bounds: Bounds, integer_dims: np.ndarray) -> Vector:
+def clip_to_bounds(x: Vector, bounds: Bounds,
+                   integer_dims: Optional[np.ndarray]) -> Vector:
     """Clamp one point ``(D,)`` or rows of points ``(n, D)`` into the box
-    and round the integer dimensions (``integer_index`` of the kinds).
+    and round the integer dimensions (``integer_index`` of the kinds, or
+    None for none).
 
     Idempotent; integer dimensions stay in-bounds because their bounds are
     integral by construction.
@@ -222,7 +230,7 @@ def _call_at(problem: ProblemDefinition,
         point = x.tolist()
         f, g_values, h_values = problem.point_fn(point)
         _raise_on_nan(problem, point, f, g_values, h_values)
-        return float(f), tuple(g_values), tuple(h_values)
+        return float(f), tuple(map(float, g_values)), tuple(map(float, h_values))
 
     f = float(problem.objective_fn(x))
     if math.isnan(f):
@@ -272,7 +280,7 @@ def evaluate(problem: ProblemDefinition, x: Vector,
         raise DimensionMismatchError(
             f"problem {problem.id!r} has dimension {problem.dimension}, "
             f"got vector of shape {x.shape}")
-    x = round_integers(x, problem.integer_index)
+    x = round_integers(x, problem.rounding_index)
 
     f, g_values, h_values = _call_at(problem, x)
     constraints = ConstraintEvaluation(g_values, h_values)

@@ -91,17 +91,17 @@ def collision_state(ranked_positions: np.ndarray, ranked_masses: np.ndarray,
     return after
 
 
-def learning_attempt(positions, interval_lower, interval_upper, phi, problem, cfg,
+def learning_attempt(positions, interval_lower, interval_width, phi, problem, cfg,
                      rng, counter):
     """One ci-sapf learning attempt on arrays, adopting each candidate's
     ``argmin`` variation; returns positions, objective, violation, phi and
-    the new intervals."""
+    the new intervals' lower ends and widths."""
     c, dim = positions.shape
     t = cfg.variations_per_attempt
     draws = rng.random((c, 1 + t * dim))
     probs = selection_probabilities(phi)
     followed = positions[roulette_indices(probs, draws[:, 0])]
-    lo, hi = shrink_interval(followed, interval_upper - interval_lower,
+    lo, hi = shrink_interval(followed, interval_width,
                              cfg.reduction_factor, problem.bounds.lower,
                              problem.bounds.upper)
     samples = lo[:, None, :] + draws[:, 1:].reshape(c, t, dim) * (hi - lo)[:, None, :]
@@ -110,4 +110,4 @@ def learning_attempt(positions, interval_lower, interval_upper, phi, problem, cf
     objective, violation = (np.array(a) for a in evaluate_rows(problem, points, counter))
     new_phi = phi_values(objective, violation, cfg.penalty)
     best = np.arange(0, c * t, t) + new_phi.reshape(c, t).argmin(axis=1)
-    return points[best], objective[best], violation[best], new_phi[best], lo, hi
+    return points[best], objective[best], violation[best], new_phi[best], lo, hi - lo

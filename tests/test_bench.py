@@ -235,6 +235,18 @@ class TestEmitReport:
                                              b"2,-inf,0.3333333333,4.940656458e-324",
                                              b"3,-0,-1e-300,2.225073859e-308"]
 
+    def test_two_outcomes_of_one_problem_rejected_before_writing(self, tmp_path):
+        # both engines' traces would be named trace_RC20_<run>.csv
+        results = [run_result(1.0), run_result(2.0)]
+        outcomes = [ExperimentOutcome(problem_id="RC20", algorithm=algorithm,
+                                      statistics=compute_statistics(results, "RC20",
+                                                                    algorithm.value),
+                                      results=results, base_seed=0)
+                    for algorithm in (Algorithm.CI_SAPF, Algorithm.CI_SAPF_CBO)]
+        with pytest.raises(ValueError, match="'RC20'"):
+            emit_report(outcomes, tmp_path / "h")
+        assert not (tmp_path / "h").exists()
+
     def test_empty_outcomes_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], tmp_path / "f")

@@ -113,7 +113,7 @@ class TestInitializeCohort:
         for i in range(5):
             assert sphere_problem.bounds.contains(cohort.positions[i])
             assert np.array_equal(cohort.interval_lower[i], sphere_problem.bounds.lower)
-            assert np.array_equal(cohort.interval_upper[i], sphere_problem.bounds.upper)
+            assert np.array_equal(cohort.interval_width[i], sphere_problem.bounds.width)
 
     def test_deterministic(self, sphere_problem):
         cfg = CiConfig()
@@ -152,7 +152,7 @@ class TestLearningAttempt:
         cohort = initialize_cohort(sphere_problem, cfg, make_rng(1), EvalCounter())
         new = learning_attempt(cohort, sphere_problem, cfg, make_rng(2), EvalCounter())
         full = sphere_problem.bounds.width
-        widths = new.interval_upper - new.interval_lower
+        widths = new.interval_width
         assert widths.shape == (3, 3)
         assert np.all(widths <= 0.9 * full + 1e-12)
 
@@ -164,7 +164,7 @@ class TestLearningAttempt:
         cohort.positions = np.zeros((3, 2))
         new = learning_attempt(cohort, problem, cfg, make_rng(2), EvalCounter())
         for i in range(3):
-            widths = new.interval_upper[i] - new.interval_lower[i]
+            widths = new.interval_width[i]
             assert widths == pytest.approx(0.9 * problem.bounds.width)
             assert new.interval_lower[i] == pytest.approx([-4.5, -4.5])
 
@@ -176,6 +176,7 @@ class TestLearningAttempt:
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.phi, b.phi)
         assert np.array_equal(a.interval_lower, b.interval_lower)
+        assert np.array_equal(a.interval_width, b.interval_width)
 
 
 class TestCiConfig:

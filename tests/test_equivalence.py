@@ -5,8 +5,9 @@ included), what its reference gives: ``score_phis`` vs ``score`` and the
 array ``phi_values``; ``selection_probabilities``, ``roulette_picks``,
 ``rank_order``, ``collision_state`` and ``learning_attempt`` vs their
 numpy twins in ``array_twins.py`` (and ``roulette_select``);
-``evaluate_rows`` vs ``evaluate``; array ``shrink_interval`` vs Python's
-``max``/``min``; and row-wise ``clip_to_bounds`` vs one point at a time.
+``pairwise_sum`` vs ``np.add.reduce``; ``evaluate_rows`` vs
+``evaluate``; array ``shrink_interval`` vs Python's ``max``/``min``; and
+row-wise ``clip_to_bounds`` vs one point at a time.
 """
 
 import math
@@ -39,6 +40,7 @@ from cohortopt.cohort import (
     initialize_cohort,
     learning_attempt,
     offer,
+    pairwise_sum,
     rank_order,
     roulette_picks,
     roulette_select,
@@ -122,16 +124,27 @@ class TestSelectionProbabilities:
         assert all(type(p) is float for p in probs)
         assert bits(probs) == bits(array_twins.selection_probabilities(phis))
 
-    @given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
-    def test_pairwise_sum_regime(self, size, seed):
-        # from 8 terms on, numpy sums in interleaved pairs, not left to right
-        phis = make_rng(seed).uniform(1e-3, 1e3, size).tolist()
-        assert bits(selection_probabilities(phis)) == bits(
-            array_twins.selection_probabilities(phis))
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_pairwise_sum_regime(self, seed):
+        # numpy adds under 8 terms left to right, up to 128 in eight
+        # interleaved accumulators and more in halves: sizes 1-300 cross
+        # the 8, 128 and 256-term boundaries
+        rng = make_rng(seed)
+        for size in range(1, 301):
+            phis = rng.uniform(1e-3, 1e3, size).tolist()
+            assert bits(selection_probabilities(phis)) == bits(
+                array_twins.selection_probabilities(phis)), size
+            # magnitudes over 40 decades, where every grouping rounds apart
+            values = (10.0 ** rng.uniform(-20.0, 20.0, size)).tolist()
+            assert pairwise_sum(values).hex() == float(np.add.reduce(values)).hex(), size
 
     @pytest.mark.parametrize("phis", [
         [INF] * 4, [1e-310, 5.0, 1e-310], [1.1125369292536007e-308] * 2,
-        [-1.0, 1.0], [0.0, -0.0, 3.0]])
+        [-1.0, 1.0], [0.0, -0.0, 3.0],
+        # 1/phi sums that overflow in the eight accumulators and in halves
+        [1.1125369292536007e-308] * 8, [1.1125369292536007e-308] * 2 + [1.0] * 9,
+        [4e-307] * 129, [1.0] * 200 + [1.1125369292536007e-308] * 2 + [3.0] * 60])
     def test_special_regimes(self, phis):
         assert bits(selection_probabilities(phis)) == bits(
             array_twins.selection_probabilities(phis))
@@ -169,7 +182,7 @@ def cohort_of(objective, violation, phi):
     n = len(phi)
     positions = np.arange(float(n))[:, None]
     return Cohort(positions, list(objective), list(violation), list(phi),
-                  positions, positions)
+                  interval_lower=positions, interval_width=np.zeros_like(positions))
 
 
 tie_values = st.sampled_from([0.0, -0.0, INF, -INF, 1.0, -1.0, 2.0])
@@ -223,10 +236,10 @@ class TestLearningAttempt:
         cohort = initialize_cohort(problem, cfg, make_rng(seed), EvalCounter())
         new = learning_attempt(cohort, problem, cfg, make_rng(seed + 1), EvalCounter())
         twin = array_twins.learning_attempt(
-            cohort.positions, cohort.interval_lower, cohort.interval_upper,
+            cohort.positions, cohort.interval_lower, cohort.interval_width,
             np.array(cohort.phi), problem, cfg, make_rng(seed + 1), EvalCounter())
         ours = (new.positions, new.objective, new.violation, new.phi,
-                new.interval_lower, new.interval_upper)
+                new.interval_lower, new.interval_width)
         for mine, theirs in zip(ours, twin):
             assert bits(mine) == bits(theirs)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cohortopt.problem import (
     clip_to_bounds,
     equality_violation,
     evaluate,
+    evaluate_rows,
     integer_index,
     make_rng,
     total_violation,
@@ -52,6 +54,17 @@ class TestEvaluate:
     def test_dimension_mismatch(self, sphere_problem):
         with pytest.raises(DimensionMismatchError):
             evaluate(sphere_problem, np.zeros(2))
+
+    def test_point_fn_numpy_scalars_become_python_floats(self):
+        problem = replace(make_problem(dim=1), point_fn=lambda x: (
+            np.float64(1.0), (np.float64(0.5), np.float64(-1.0)), (np.float64(2.0),)))
+        ev = evaluate(problem, np.zeros(1))
+        values = (ev.objective, ev.violation, *ev.constraints.g_values,
+                  *ev.constraints.h_values)
+        assert [type(v) for v in values] == [float] * 5
+        assert type(ev.feasible) is bool
+        assert ev.violation == 0.5 + (2.0 - problem.equality_tolerance)
+        assert evaluate_rows(problem, np.zeros((1, 1))) == ([ev.objective], [ev.violation])
 
     def test_nan_objective_is_a_fault(self):
         problem = make_problem(dim=1, objective=lambda x: float("nan"))
