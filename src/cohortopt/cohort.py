@@ -348,12 +348,9 @@ def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
     lo, hi = shrink_interval(followed, cohort.interval_width, cfg.reduction_factor,
                              problem.bounds.lower, problem.bounds.upper)
     width = hi - lo
-    if t == 1:
-        samples = lo + draws[:, 1:] * width
-    else:
-        samples = (lo[:, None, :] + draws[:, 1:].reshape(c, t, dim)
-                   * width[:, None, :]).reshape(c * t, dim)
-    points = clip_to_bounds(samples, problem.bounds, problem.rounding_index)
+    samples = lo[:, None, :] + draws[:, 1:].reshape(c, t, dim) * width[:, None, :]
+    points = clip_to_bounds(samples.reshape(c * t, dim), problem.bounds,
+                            problem.rounding_index)
     objective, violation = evaluate_rows(problem, points, counter)
     phi = score_phis(objective, violation, cfg.penalty)
     if t == 1:

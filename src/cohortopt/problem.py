@@ -124,11 +124,10 @@ class ProblemDefinition:
     #: :func:`evaluate_rows` call only it, so the scalar callables must
     #: return the same values.
     point_fn: Optional[Callable[[list], tuple]] = None
-    #: Boolean index of the integer dimensions, derived from ``kinds``.
-    integer_index: np.ndarray = field(init=False, repr=False, compare=False)
-    #: ``integer_index`` if any dimension is integer, else None: what the
-    #: engines and :func:`evaluate` pass to the rounding, so that a problem
-    #: without integer dimensions skips it with no test of the index.
+    #: The boolean :func:`integer_index` of ``kinds`` if any dimension is
+    #: integer, else None: what the engines and :func:`evaluate` pass to
+    #: the rounding, so that a problem without integer dimensions skips it
+    #: with no test of the index.
     rounding_index: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -149,7 +148,6 @@ class ProblemDefinition:
         object.__setattr__(self, "inequality_fns", tuple(self.inequality_fns))
         object.__setattr__(self, "equality_fns", tuple(self.equality_fns))
         index = integer_index(self.kinds)
-        object.__setattr__(self, "integer_index", index)
         object.__setattr__(self, "rounding_index", index if index.any() else None)
 
 

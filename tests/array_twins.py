@@ -12,7 +12,7 @@ import numpy as np
 from cohortopt.cohort import shrink_interval
 from cohortopt.collision import velocity_after_moving, velocity_after_stationary
 from cohortopt.penalty import NegativeMode, PenaltyConfig
-from cohortopt.problem import clip_to_bounds, evaluate_rows
+from cohortopt.problem import clip_to_bounds, evaluate_rows, integer_index
 
 
 def phi_values(f: np.ndarray, violation: np.ndarray,
@@ -106,7 +106,7 @@ def learning_attempt(positions, interval_lower, interval_width, phi, problem, cf
                              problem.bounds.upper)
     samples = lo[:, None, :] + draws[:, 1:].reshape(c, t, dim) * (hi - lo)[:, None, :]
     points = clip_to_bounds(samples.reshape(c * t, dim), problem.bounds,
-                            problem.integer_index)
+                            integer_index(problem.kinds))
     objective, violation = (np.array(a) for a in evaluate_rows(problem, points, counter))
     new_phi = phi_values(objective, violation, cfg.penalty)
     best = np.arange(0, c * t, t) + new_phi.reshape(c, t).argmin(axis=1)

@@ -31,6 +31,7 @@ from cohortopt.problem import (
     clip_to_bounds,
     evaluate,
     evaluate_rows,
+    integer_index,
     make_rng,
 )
 from cohortopt.penalty import score, score_phis
@@ -281,7 +282,7 @@ class TestEvaluateRows:
         unit = np.array(data.draw(unit_rows(problem.dimension)))
         bounds = problem.bounds
         points = clip_to_bounds(bounds.lower + unit * bounds.width, bounds,
-                                problem.integer_index)
+                                integer_index(problem.kinds))
         f, v = evaluate_rows(problem, points)
         assert all(type(value) is float for value in f + v)
         reference = [evaluate(problem, x) for x in points]
@@ -417,7 +418,7 @@ class TestArrayShrinkAndClip:
             dim=3, lower=-5.0, upper=0.0,
             kinds=(VarKind.INTEGER, VarKind.CONTINUOUS, VarKind.INTEGER))
         points = np.array(rows)
-        together = clip_to_bounds(points, problem.bounds, problem.integer_index)
+        together = clip_to_bounds(points, problem.bounds, integer_index(problem.kinds))
         one_by_one = []
         for x in points:   # the per-point, per-dimension reference
             out = np.clip(x, problem.bounds.lower, problem.bounds.upper)

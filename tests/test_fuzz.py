@@ -26,6 +26,7 @@ from cohortopt import (
     VarKind,
 )
 from cohortopt.bench import solve_once
+from cohortopt.problem import integer_index
 
 SCALES = [1.0, 1e-300, 1e150, 1e300, 1e308]
 EXTREMES = [math.inf, -math.inf, 1e308, -1e308]
@@ -125,7 +126,7 @@ def test_run_invariants(problem, solver, seed):
 
     x = np.asarray(result.best_position, dtype=float)
     assert problem.bounds.contains(x)
-    integers = x[problem.integer_index]
+    integers = x[integer_index(problem.kinds)]
     assert np.array_equal(integers, np.rint(integers))
 
     c, attempts = cfg.cohort_size, result.learning_attempts

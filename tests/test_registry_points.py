@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from cohortopt import suite
-from cohortopt.problem import evaluate, make_rng, round_integers
+from cohortopt.problem import evaluate, integer_index, make_rng, round_integers
 
 PINNED = Path(__file__).with_name("registry_points.json")
 UNIFORM_POINTS = 20
@@ -35,7 +35,8 @@ def points(record) -> list[np.ndarray]:
     raw += [bounds.lower + rng.random(problem.dimension) * bounds.width
             for _ in range(UNIFORM_POINTS)]
     # round_integers rounds in place: round copies, not the bounds themselves
-    return [round_integers(np.array(x, dtype=float), problem.integer_index) for x in raw]
+    return [round_integers(np.array(x, dtype=float), integer_index(problem.kinds))
+            for x in raw]
 
 
 def _hex(values) -> list[str]:
