@@ -53,6 +53,8 @@ class ExperimentConfig:
         object.__setattr__(self, "problem_ids", tuple(self.problem_ids))
         if not self.problem_ids:
             raise ValueError("problem_ids must not be empty")
+        if len(set(self.problem_ids)) != len(self.problem_ids):
+            raise ValueError(f"problem_ids repeat a problem: {self.problem_ids}")
         if self.runs < 1:
             raise ValueError("runs must be positive")
         if self.algorithm is Algorithm.CI_SAPF and not isinstance(self.solver, CiConfig):
@@ -167,14 +169,8 @@ def _fmt(value) -> str:
 
 
 def _stats_row(s: RunStatistics) -> dict:
-    return {
-        "problem": s.problem_id, "algorithm": s.algorithm, "runs": s.runs,
-        "feasible_runs": s.feasible_runs, "fr": s.fr, "best": s.best,
-        "median": s.median, "mean": s.mean, "worst": s.worst, "std": s.std,
-        "mcv": s.mcv, "avg_fe": s.avg_fe, "avg_time": s.avg_time,
-        "violation_best": s.violation_best, "violation_mean": s.violation_mean,
-        "violation_worst": s.violation_worst,
-    }
+    # every column but the first is the RunStatistics field of its name
+    return {"problem": s.problem_id, **{col: getattr(s, col) for col in _COLUMNS[1:]}}
 
 
 def emit_report(outcomes: Sequence[ExperimentOutcome],
@@ -182,11 +178,11 @@ def emit_report(outcomes: Sequence[ExperimentOutcome],
     """Write summary.csv, summary.json and one trace CSV per run.
 
     File bodies contain no timestamps, so a rerun with the same
-    configuration produces byte-identical output. All numbers are
-    serialized with 10 significant digits. Trace files are named by
-    problem id and run, so two outcomes of one problem (say, of both
-    engines) are rejected before anything is written: report them to
-    separate directories.
+    configuration reproduces every byte but the measured times
+    (``avg_time``, ``wall_time``). Numbers have 10 significant digits.
+    Trace files are named by problem id and run, so two outcomes of one
+    problem (say, of both engines) are rejected before anything is
+    written: report them to separate directories.
     """
     if not outcomes:
         raise ValueError("no experiment outcomes to report")

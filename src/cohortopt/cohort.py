@@ -371,34 +371,22 @@ def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
                   kept_phi, lo, width)
 
 
-def check_saturation(phis: Sequence[float], window: int, tol: float,
-                     start: int = 0) -> bool:
-    """True iff the last ``window`` incumbent phis (one per attempt), all
-    recorded at or after index ``start``, span a range <= tol."""
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    if len(phis) - start < window:
+def run_saturated(cohort: Cohort, trace: Trace,
+                  window: int, tol: float, start: int = 0) -> bool:
+    """Stopping rule: the last ``window`` incumbent phis, all recorded at
+    or after trace index ``start``, span a range <= tol (the incumbent has
+    stalled) AND so do the cohort's current phis (the candidates' behaviors
+    have become almost the same). Requiring cohort consensus too keeps a
+    momentary stall of the best-so-far from ending a run whose candidates
+    are still spread out and learning. ``window`` is at least 2, as the
+    configs require."""
+    # the C-float spread first, as the cheaper test; inf - inf is NaN
+    # (never saturated), without a warning in Python floats
+    phi, phis = cohort.phi, trace.best_phi
+    if not max(phi) - min(phi) <= tol or len(phis) - start < window:
         return False
     phis = phis[-window:]
     return max(phis) - min(phis) <= tol
-
-
-def cohort_spread(cohort: Cohort) -> float:
-    """Range of the cohort's current pseudo-objectives."""
-    # inf - inf is NaN (never saturated), without a warning in Python floats
-    return max(cohort.phi) - min(cohort.phi)
-
-
-def run_saturated(cohort: Cohort, trace: Trace,
-                  window: int, tol: float, start: int = 0) -> bool:
-    """Stopping rule: the incumbent has stalled over the window (counted
-    from trace index ``start``) AND the candidates' behaviors have become
-    almost the same. Requiring cohort consensus too keeps a momentary
-    stall of the best-so-far from ending a run whose candidates are still
-    spread out and learning."""
-    # the C-float spread first: both tests are pure, and it is the cheaper
-    return (cohort_spread(cohort) <= tol
-            and check_saturation(trace.best_phi, window, tol, start))
 
 
 def run_cohort(problem: ProblemDefinition, cfg, per_attempt: int,

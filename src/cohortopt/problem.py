@@ -156,34 +156,6 @@ def make_rng(seed: int) -> RandomSource:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def equality_violation(h: float, eps: float) -> float:
-    """Violation of a relaxed equality: ``max(0, |h| - eps)``."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return max(0.0, abs(h) - eps)
-
-
-def total_violation(constraints: ConstraintEvaluation, eps: float) -> float:
-    """Aggregate violation: positive parts of g plus relaxed-equality terms.
-
-    Only violated constraints contribute; satisfied ones add exactly zero,
-    so the result is 0 iff the point is feasible.
-    """
-    return _sum_violation(constraints.g_values, constraints.h_values, eps)
-
-
-def _sum_violation(g_values: Sequence[float], h_values: Sequence[float],
-                   eps: float) -> float:
-    # sequential, g terms first: a pairwise np.sum would round differently
-    total = 0.0
-    for g in g_values:
-        if g > 0.0:
-            total += g
-    for h in h_values:
-        total += equality_violation(h, eps)
-    return total
-
-
 def integer_index(kinds: Sequence[VarKind]) -> np.ndarray:
     """Boolean index of the integer dimensions among ``kinds``: True
     where the kind is integer."""
@@ -220,38 +192,19 @@ def clip_to_bounds(x: Vector, bounds: Bounds,
 
 
 def _call_at(problem: ProblemDefinition,
-             x: Vector) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """Objective, inequality values and equality values at the rounded
-    point ``x``, from ``point_fn`` if the problem has one; NaN from any
-    callable raises :class:`EvaluationFaultError`."""
-    if problem.point_fn is not None:
-        point = x.tolist()
-        f, g_values, h_values = problem.point_fn(point)
-        _raise_on_nan(problem, point, f, g_values, h_values)
-        return float(f), tuple(map(float, g_values)), tuple(map(float, h_values))
-
-    f = float(problem.objective_fn(x))
-    if math.isnan(f):
-        _raise_on_nan(problem, x.tolist(), f, (), ())
-    g_values = []
-    for i, fn in enumerate(problem.inequality_fns):
-        g = float(fn(x))
-        if math.isnan(g):
-            _raise_on_nan(problem, x.tolist(), f, g_values + [g], ())
-        g_values.append(g)
-    h_values = []
-    for j, fn in enumerate(problem.equality_fns):
-        h = float(fn(x))
-        if math.isnan(h):
-            _raise_on_nan(problem, x.tolist(), f, g_values, h_values + [h])
-        h_values.append(h)
-    return f, tuple(g_values), tuple(h_values)
+             x: Vector) -> tuple[float, list[float], list[float]]:
+    """Objective, inequality values and equality values of the problem's
+    scalar callables at ``x``, called in that order."""
+    return (float(problem.objective_fn(x)),
+            [float(fn(x)) for fn in problem.inequality_fns],
+            [float(fn(x)) for fn in problem.equality_fns])
 
 
-def _raise_on_nan(problem: ProblemDefinition, point: list, f: float,
+def _raise_on_nan(problem: ProblemDefinition, x, f: float,
                   g_values: Sequence[float], h_values: Sequence[float]) -> None:
     """Raise :class:`EvaluationFaultError` for the first NaN among f, the
     inequality values and the equality values, in that order."""
+    point = np.asarray(x, dtype=float).tolist()
     if math.isnan(f):
         raise EvaluationFaultError(f"objective of {problem.id!r} returned NaN at {point}")
     for i, g in enumerate(g_values):
@@ -266,7 +219,8 @@ def _raise_on_nan(problem: ProblemDefinition, point: list, f: float,
 
 def evaluate(problem: ProblemDefinition, x: Vector,
              counter: Optional[EvalCounter] = None) -> Evaluation:
-    """Evaluate objective and all constraints at ``x``.
+    """Evaluate objective and all constraints at ``x``: the one-row case
+    of :func:`evaluate_rows`, with the constraint values kept.
 
     Integer dimensions are rounded before the evaluators run, so callers
     may hand in continuous samples. NaN from any evaluator raises
@@ -278,13 +232,12 @@ def evaluate(problem: ProblemDefinition, x: Vector,
         raise DimensionMismatchError(
             f"problem {problem.id!r} has dimension {problem.dimension}, "
             f"got vector of shape {x.shape}")
-    x = round_integers(x, problem.rounding_index)
-
-    f, g_values, h_values = _call_at(problem, x)
-    constraints = ConstraintEvaluation(g_values, h_values)
-    violation = total_violation(constraints, problem.equality_tolerance)
-    if counter is not None:
-        counter.count += 1
+    round_integers(x, problem.rounding_index)
+    kept = []
+    (f,), (violation,) = _evaluate_rows(problem, x[None], counter, kept)
+    g_values, h_values = kept[0]
+    constraints = ConstraintEvaluation(tuple(map(float, g_values)),
+                                       tuple(map(float, h_values)))
     return Evaluation(objective=f, constraints=constraints,
                       violation=violation, feasible=violation == 0.0)
 
@@ -292,22 +245,30 @@ def evaluate(problem: ProblemDefinition, x: Vector,
 def evaluate_rows(problem: ProblemDefinition, points: np.ndarray,
                   counter: Optional[EvalCounter] = None) -> tuple[list[float], list[float]]:
     """Objective and aggregate violation of each row of ``points`` (n, D),
-    as lists of Python floats, with the NaN faults and the violation sum
-    of :func:`evaluate`.
+    as lists of Python floats. The violation adds each positive g, then
+    each positive ``|h| - eps``, to 0.0 in order. NaN from any evaluator
+    raises :class:`EvaluationFaultError` naming the first NaN among f, the
+    g values and the h values; infinities pass through untouched.
 
     The rows must already be clipped and rounded. A problem's
     ``point_fn`` gets each row once as a list of Python floats. Otherwise
     each row is handed to the problem's callables as its own copy, shared
-    by that row's callables as in :func:`evaluate`, so a callable that
-    writes into its argument cannot alter ``points``. Counts as n function
-    evaluations.
+    by that row's callables, so a callable that writes into its argument
+    cannot alter ``points``. Counts as n function evaluations.
     """
     if points.ndim != 2 or points.shape[1] != problem.dimension:
         raise DimensionMismatchError(
             f"problem {problem.id!r} has dimension {problem.dimension}, "
             f"got points of shape {points.shape}")
+    return _evaluate_rows(problem, points, counter)
+
+
+def _evaluate_rows(problem: ProblemDefinition, points: np.ndarray,
+                   counter: Optional[EvalCounter],
+                   kept: Optional[list] = None) -> tuple[list[float], list[float]]:
+    """The loop of :func:`evaluate_rows`; appends each row's
+    ``(g_values, h_values)`` to ``kept`` if given."""
     if problem.point_fn is None:
-        # _call_at raises on a NaN from the callables itself
         rows, call = np.array(points, dtype=float), partial(_call_at, problem)
     else:
         rows, call = points.tolist(), problem.point_fn
@@ -316,8 +277,8 @@ def evaluate_rows(problem: ProblemDefinition, points: np.ndarray,
     violations = []
     for x in rows:
         f, g_values, h_values = call(x)
-        # _sum_violation inline: a term adds only when positive, which adds
-        # the same bits as max(0.0, term) to a total that is at least +0.0
+        # a term adds only when positive: the same bits as adding
+        # max(0.0, term) to a total that is at least +0.0
         total = 0.0
         for g in g_values:
             if g > 0.0:
@@ -334,6 +295,8 @@ def evaluate_rows(problem: ProblemDefinition, points: np.ndarray,
             _raise_on_nan(problem, x, f, g_values, h_values)
         objectives.append(float(f))
         violations.append(float(total))
+        if kept is not None:
+            kept.append((g_values, h_values))
     if counter is not None:
         counter.count += len(rows)
     return objectives, violations

@@ -5,6 +5,10 @@ These are the array forms that the seeded results in ``golden_runs.json``
 were first pinned with: each takes arrays and works on all candidates at
 once. ``test_equivalence.py`` requires the list code to equal them bit
 for bit.
+
+``evaluation`` is the reference for ``evaluate_rows``: the objective and
+the aggregate violation summed straight from a problem's scalar
+callables, as ``max(0.0, term)`` in constraint order.
 """
 
 import numpy as np
@@ -13,6 +17,17 @@ from cohortopt.cohort import shrink_interval
 from cohortopt.collision import velocity_after_moving, velocity_after_stationary
 from cohortopt.penalty import NegativeMode, PenaltyConfig
 from cohortopt.problem import clip_to_bounds, evaluate_rows, integer_index
+
+
+def evaluation(problem, x) -> tuple[float, float]:
+    """Objective and aggregate violation at ``x`` from the raw callables."""
+    f = float(problem.objective_fn(x))
+    violation = 0.0
+    for fn in problem.inequality_fns:
+        violation += max(0.0, float(fn(x)))
+    for fn in problem.equality_fns:
+        violation += max(0.0, abs(float(fn(x))) - problem.equality_tolerance)
+    return f, violation
 
 
 def phi_values(f: np.ndarray, violation: np.ndarray,

@@ -115,6 +115,10 @@ class TestRunExperiment:
             ExperimentConfig(algorithm=Algorithm.CI_SAPF, problem_ids=(),
                              solver=SMALL)
 
+    def test_repeated_problem_rejected_before_any_run(self):
+        with pytest.raises(ValueError, match="RC20"):
+            small_experiment(problem_ids=("RC20", "RC08", "RC20"))
+
     def test_solver_type_checked(self):
         with pytest.raises(ValueError):
             ExperimentConfig(algorithm=Algorithm.CI_SAPF_CBO,

@@ -5,17 +5,17 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, strategies as st
 
-from cohortopt import CiConfig, VarKind, ci_sapf_run
+from cohortopt import CboConfig, CiConfig, VarKind, ci_sapf_run
 from cohortopt.problem import EvalCounter, make_rng
 from cohortopt.cohort import (
+    Cohort,
     Trace,
     TraceRecord,
-    check_saturation,
-    cohort_spread,
     incumbent_key,
     initialize_cohort,
     learning_attempt,
     roulette_select,
+    run_saturated,
     selection_probabilities,
     shrink_interval,
 )
@@ -197,20 +197,33 @@ class TestCiConfig:
             CiConfig(seed=-1)
 
 
+def trace_saturated(phis, window=20, tol=1e-6) -> bool:
+    """``run_saturated`` on a trace of incumbent ``phis`` and a cohort in
+    consensus, so that only the trace decides."""
+    trace = Trace()
+    for phi in phis:
+        trace.append(phi, phi, 0.0)
+    cohort = Cohort(np.zeros((2, 1)), [5.0, 5.0], [0.0, 0.0], [5.0, 5.0],
+                    np.zeros((2, 1)), np.ones((2, 1)))
+    return run_saturated(cohort, trace, window, tol)
+
+
 class TestCheckSaturation:
     def test_constant_trace_saturates(self):
-        assert check_saturation([5.0] * 20, 20, 1e-6)
+        assert trace_saturated([5.0] * 20)
 
     def test_improving_trace_does_not(self):
         phis = [10.0 - 0.01 * i for i in range(20)]
-        assert not check_saturation(phis, 20, 1e-6)
+        assert not trace_saturated(phis)
 
     def test_short_trace_does_not(self):
-        assert not check_saturation([5.0] * 19, 20, 1e-6)
+        assert not trace_saturated([5.0] * 19)
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            check_saturation([1.0], 1, 1e-6)
+        # run_saturated relies on the configs for a window of at least 2
+        for config in (CiConfig, CboConfig):
+            with pytest.raises(ValueError, match="saturation_window"):
+                config(saturation_window=1)
 
 
 class TestTrace:
@@ -324,6 +337,13 @@ class TestIncumbentOrdering:
 
 
 def test_cohort_spread(sphere_problem):
+    # with a stalled incumbent, the cohort's phi range alone decides
     cohort = initialize_cohort(sphere_problem, CiConfig(), make_rng(0), EvalCounter())
     phis = sorted(cohort.phi)
-    assert cohort_spread(cohort) == phis[-1] - phis[0] > 0.0
+    spread = phis[-1] - phis[0]
+    assert spread > 0.0
+    trace = Trace()
+    for _ in range(20):
+        trace.append(1.0, 1.0, 0.0)
+    assert run_saturated(cohort, trace, 20, spread)
+    assert not run_saturated(cohort, trace, 20, math.nextafter(spread, 0.0))

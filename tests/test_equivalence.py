@@ -5,9 +5,10 @@ included), what its reference gives: ``score_phis`` vs ``score`` and the
 array ``phi_values``; ``selection_probabilities``, ``roulette_picks``,
 ``rank_order``, ``collision_state`` and ``learning_attempt`` vs their
 numpy twins in ``array_twins.py`` (and ``roulette_select``);
-``pairwise_sum`` vs ``np.add.reduce``; ``evaluate_rows`` vs
-``evaluate``; array ``shrink_interval`` vs Python's ``max``/``min``; and
-row-wise ``clip_to_bounds`` vs one point at a time.
+``pairwise_sum`` vs ``np.add.reduce``; ``evaluate_rows`` vs the raw
+callables' sums ``array_twins.evaluation`` (and ``evaluate``); array
+``shrink_interval`` vs Python's ``max``/``min``; and row-wise
+``clip_to_bounds`` vs one point at a time.
 """
 
 import math
@@ -274,6 +275,17 @@ def unit_rows(dimension):
                     min_size=1, max_size=6)
 
 
+def assert_raw_sums(problem, points, objective, violation):
+    """``evaluate_rows``' lists equal the raw callables' sums bit for bit."""
+    raw_f, raw_v = zip(*(array_twins.evaluation(problem, x) for x in points))
+    assert bits(objective) == bits(raw_f)
+    assert bits(violation) == bits(raw_v)
+
+
+constraint_values = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-4, -1e-4]),
+                                      st.floats(-10, 10)), max_size=5)
+
+
 class TestEvaluateRows:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([r.suite_id for r in suite.list_problems()]), st.data())
@@ -288,6 +300,8 @@ class TestEvaluateRows:
         reference = [evaluate(problem, x) for x in points]
         assert bits(f) == bits([ev.objective for ev in reference])
         assert bits(v) == bits([ev.violation for ev in reference])
+        # the registry's point_fn against its own scalar callables
+        assert_raw_sums(problem, points, f, v)
 
     @pytest.mark.parametrize("where", ["objective", "inequality", "equality"])
     def test_nan_fault_message_matches(self, where):
@@ -352,8 +366,25 @@ class TestEvaluateRows:
         reference = [evaluate(problem, x) for x in points]
         assert bits(objective) == bits([ev.objective for ev in reference])
         assert bits(violation) == bits([ev.violation for ev in reference])
+        assert_raw_sums(problem, points, objective, violation)
         if f == 1.0:
             assert bits(violation) == bits([0.0, 0.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(constraint_values, constraint_values, st.sampled_from([1e-4, 0.5]),
+           st.sampled_from(["point_fn", "callables"]))
+    def test_random_values_equal_raw_sum(self, g_values, h_values, eps, path):
+        # each value scaled by the row's first coordinate, so rows differ
+        problem = replace(make_problem(
+            dim=2, objective=lambda x: 2.0 * x[0],
+            inequality=[lambda x, g=g: g * x[0] for g in g_values],
+            equality=[lambda x, h=h: h * x[0] for h in h_values]), equality_tolerance=eps)
+        if path == "point_fn":
+            problem = replace(problem, point_fn=lambda x: (
+                2.0 * x[0], [g * x[0] for g in g_values], [h * x[0] for h in h_values]))
+        points = np.array([[0.5, 0.0], [1.5, 2.0], [-3.0, 1.0]])
+        objective, violation = evaluate_rows(problem, points)
+        assert_raw_sums(problem, points, objective, violation)
 
     def test_point_fn_nan_message_names_the_first_nan(self):
         # NaN in an equality and in a later inequality: the inequality is

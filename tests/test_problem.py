@@ -13,15 +13,12 @@ from cohortopt import (
     suite,
 )
 from cohortopt.problem import (
-    ConstraintEvaluation,
     EvalCounter,
     clip_to_bounds,
-    equality_violation,
     evaluate,
     evaluate_rows,
     integer_index,
     make_rng,
-    total_violation,
 )
 from conftest import make_problem
 
@@ -97,43 +94,46 @@ class TestEvaluate:
             assert ev.feasible == (ev.violation == 0.0)
 
 
+def violation_at(g_values=(), h_values=(), eps=1e-4) -> float:
+    """``evaluate``'s violation for constraints that return the given values."""
+    problem = replace(make_problem(dim=1, inequality=[lambda x, g=g: g for g in g_values],
+                                   equality=[lambda x, h=h: h for h in h_values]),
+                      equality_tolerance=eps)
+    return evaluate(problem, np.zeros(1)).violation
+
+
 class TestEqualityViolation:
     def test_inside_relaxation_band(self):
-        assert equality_violation(5e-5, 1e-4) == 0.0
+        assert violation_at(h_values=(5e-5,)) == 0.0
 
     def test_above_band(self):
-        assert equality_violation(2e-4, 1e-4) == pytest.approx(1e-4)
+        assert violation_at(h_values=(2e-4,)) == pytest.approx(1e-4)
 
     def test_negative_h_uses_magnitude(self):
-        assert equality_violation(-3e-4, 1e-4) == pytest.approx(2e-4)
+        assert violation_at(h_values=(-3e-4,)) == pytest.approx(2e-4)
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
-            equality_violation(0.1, 0.0)
+            violation_at(h_values=(0.1,), eps=0.0)
 
     @given(st.floats(-1e6, 1e6), st.floats(1e-10, 10.0))
     def test_even_in_h(self, h, eps):
-        assert equality_violation(h, eps) == equality_violation(-h, eps)
+        assert violation_at(h_values=(h,), eps=eps) == violation_at(h_values=(-h,), eps=eps)
 
 
 class TestTotalViolation:
     def test_satisfied_inequalities(self):
-        c = ConstraintEvaluation((-1.0, -0.5), ())
-        assert total_violation(c, 1e-4) == 0.0
+        assert violation_at(g_values=(-1.0, -0.5)) == 0.0
 
     def test_mixed(self):
-        c = ConstraintEvaluation((0.3, -2.0), (1.5e-4,))
-        assert total_violation(c, 1e-4) == pytest.approx(0.30005, rel=1e-12)
+        assert violation_at((0.3, -2.0), (1.5e-4,)) == pytest.approx(0.30005, rel=1e-12)
 
     def test_exact_equalities(self):
-        c = ConstraintEvaluation((), (0.0, 0.0))
-        assert total_violation(c, 1e-4) == 0.0
+        assert violation_at(h_values=(0.0, 0.0)) == 0.0
 
     @given(st.floats(0.001, 100.0), st.floats(0.001, 10.0))
     def test_monotone_in_a_positive_g(self, g, bump):
-        base = ConstraintEvaluation((g, -1.0), ())
-        bigger = ConstraintEvaluation((g + bump, -1.0), ())
-        assert total_violation(bigger, 1e-4) > total_violation(base, 1e-4)
+        assert violation_at((g + bump, -1.0)) > violation_at((g, -1.0))
 
 
 class TestClipToBounds:

@@ -7,11 +7,12 @@ without failing any other test.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from cohortopt import Algorithm, CboConfig, CiConfig, suite
+from cohortopt import Algorithm, CboConfig, CiConfig, cli, suite
 from cohortopt.bench import solve_once
 from conftest import make_problem
 from test_golden import fingerprint
@@ -80,3 +81,27 @@ def test_restarts_clip_once_per_initialisation(floor_problem):
         - plain.learning_attempts
     assert restarts >= 1
     assert_spans_per_attempt(tracer, plain, "cohort.learning_attempt", 1 + restarts)
+
+
+@pytest.mark.parametrize("algo", ["ci-sapf", "ci-sapf-cbo"])
+def test_traced_cli_suite_matches_untraced(algo, tmp_path):
+    """The benchmark's traced ``suite-cli`` path. ``cli.main`` turns an
+    error into exit 1, so a traced run that fails inside the CLI shows
+    only in its exit code and its reports."""
+    def suite_run(out, tracer):
+        argv = ["suite", "--algo", algo, "--runs", "2", "--max-fe", "60", "--out", str(out)]
+        with tracer.installed():
+            assert tracer.wrap("cli.main", cli.main)(argv) == 0
+        problems = json.loads((out / "summary.json").read_text())["problems"]
+        per_run = [(p["problem"], r["seed"], r["objective"], r["violation"],
+                    r["function_evaluations"], r["learning_attempts"])
+                   for p in problems for r in p["per_run"]]
+        return per_run, len(list(out.iterdir()))
+
+    plain = suite_run(tmp_path / "plain", tracing.NullTracer())
+    first, second = tracing.Tracer(), tracing.Tracer()
+    assert suite_run(tmp_path / "first", first) == plain
+    assert suite_run(tmp_path / "second", second) == plain
+    assert plain[1] == 2 + 2 * len(suite.list_problems())
+    assert first.calls["cli.main"] == 1 and first.calls["bench.emit_report"] == 1
+    assert dict(first.calls) == dict(second.calls)
