@@ -41,6 +41,11 @@ class Algorithm(enum.Enum):
     CI_SAPF_CBO = "ci-sapf-cbo"
 
 
+# Config types only: solve_once calls each engine by its module-level name,
+# which perfbench's tracer rebinds; a function held here would bypass that.
+CONFIG_TYPES = {Algorithm.CI_SAPF: CiConfig, Algorithm.CI_SAPF_CBO: CboConfig}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     algorithm: Algorithm
@@ -57,10 +62,9 @@ class ExperimentConfig:
             raise ValueError(f"problem_ids repeat a problem: {self.problem_ids}")
         if self.runs < 1:
             raise ValueError("runs must be positive")
-        if self.algorithm is Algorithm.CI_SAPF and not isinstance(self.solver, CiConfig):
-            raise ValueError("ci-sapf needs a CiConfig")
-        if self.algorithm is Algorithm.CI_SAPF_CBO and not isinstance(self.solver, CboConfig):
-            raise ValueError("ci-sapf-cbo needs a CboConfig")
+        config_type = CONFIG_TYPES[self.algorithm]
+        if not isinstance(self.solver, config_type):
+            raise ValueError(f"{self.algorithm.value} needs a {config_type.__name__}")
 
 
 @dataclass
@@ -161,8 +165,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentOutcome]:
 def _fmt(value) -> str:
     if value is None:
         return "infeasible"
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return f"{value:.10g}"
     return str(value)

@@ -21,8 +21,8 @@ try:
 except ImportError:
     tomllib = None
 
-from .bench import (Algorithm, ExperimentConfig, SolverConfig, emit_report,
-                    run_experiment)
+from .bench import (CONFIG_TYPES, Algorithm, ExperimentConfig, SolverConfig,
+                    emit_report, run_experiment)
 from .cohort import CiConfig
 from .collision import CboConfig
 from .penalty import NegativeMode, PenaltyConfig
@@ -189,7 +189,7 @@ def _file_value(action: argparse.Action, value):
 def _build_solver(algorithm: Algorithm, opts: dict) -> SolverConfig:
     """The engine's config from the solver keys given; every key left out
     takes the config dataclass's default."""
-    config_type = CiConfig if algorithm is Algorithm.CI_SAPF else CboConfig
+    config_type = CONFIG_TYPES[algorithm]
     solver_fields = {f.name for f in fields(config_type)}
     solver, penalty = {}, {}
     for key, value in opts.items():

@@ -52,10 +52,9 @@ INF = math.inf
 class Cohort:
     """The C candidates; row or item i of each field is candidate i.
 
-    ``interval_lower`` and ``interval_width`` are the lower ends and the
-    widths of ci-sapf's per-variable sampling intervals; the next shrink
-    reads the width as it is, so it is never recomputed from the ends. The
-    collision engine leaves them at the bounds. ``keys`` holds each
+    ``interval_width`` holds the widths of ci-sapf's per-variable sampling
+    intervals, which the next shrink reads as they are; the collision
+    engine leaves them at the bounds' widths. ``keys`` holds each
     candidate's :func:`incumbent_key`, computed once when the cohort is
     built; the engines never change a cohort after building it.
     """
@@ -64,7 +63,6 @@ class Cohort:
     objective: list[float]       # C Python floats
     violation: list[float]
     phi: list[float]
-    interval_lower: np.ndarray   # (C, D)
     interval_width: np.ndarray   # (C, D)
     keys: list[tuple] = field(init=False, repr=False, compare=False)
 
@@ -92,19 +90,26 @@ class CiConfig:
             raise ValueError("reduction_factor must lie strictly in (0, 1)")
         if self.variations_per_attempt < 1:
             raise ValueError("variations_per_attempt must be positive")
-        if self.max_learning_attempts < 1 or self.max_function_evaluations < 1:
-            raise ValueError("budgets must be positive")
-        if self.max_function_evaluations < self.cohort_size:
-            raise ValueError(
-                f"max_function_evaluations ({self.max_function_evaluations}) cannot pay "
-                f"for the first cohort of cohort_size ({self.cohort_size}) evaluations")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.saturation_window < 2:
-            raise ValueError("saturation_window must be at least 2")
-        # false for NaN too, which would never let a run saturate
-        if not 0.0 <= self.saturation_tolerance < math.inf:
-            raise ValueError("saturation_tolerance must be finite and non-negative")
+        check_run_limits(self)
+
+
+def check_run_limits(cfg) -> None:
+    """The checks both engines' configs make after their own: positive
+    budgets, an FE budget that pays for the first cohort, a non-negative
+    seed and a usable saturation rule."""
+    if cfg.max_learning_attempts < 1 or cfg.max_function_evaluations < 1:
+        raise ValueError("budgets must be positive")
+    if cfg.max_function_evaluations < cfg.cohort_size:
+        raise ValueError(
+            f"max_function_evaluations ({cfg.max_function_evaluations}) cannot pay "
+            f"for the first cohort of cohort_size ({cfg.cohort_size}) evaluations")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {cfg.seed}")
+    if cfg.saturation_window < 2:
+        raise ValueError("saturation_window must be at least 2")
+    # false for NaN too, which would never let a run saturate
+    if not 0.0 <= cfg.saturation_tolerance < math.inf:
+        raise ValueError("saturation_tolerance must be finite and non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,13 +190,6 @@ def incumbent_key(objective: float, violation: float, phi: float) -> tuple:
     if violation == 0.0:
         return (0, objective, phi)
     return (1, violation, phi)
-
-
-def rank_order(cohort: Cohort) -> list[int]:
-    """Cohort indices sorted ascending under :func:`incumbent_key`; the
-    sort is stable, so equal keys keep index order."""
-    keys = cohort.keys
-    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -320,7 +318,6 @@ def initialize_cohort(problem: ProblemDefinition, cfg: CiConfig,
     objective, violation = evaluate_rows(problem, points, counter)
     return Cohort(points, objective, violation,
                   score_phis(objective, violation, cfg.penalty),
-                  np.broadcast_to(bounds.lower, shape),
                   np.broadcast_to(bounds.width, shape))
 
 
@@ -354,7 +351,7 @@ def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
     objective, violation = evaluate_rows(problem, points, counter)
     phi = score_phis(objective, violation, cfg.penalty)
     if t == 1:
-        return Cohort(points, objective, violation, phi, lo, width)
+        return Cohort(points, objective, violation, phi, width)
     # unconditional adoption: each candidate's best variation replaces its
     # old behavior; the strict < keeps the first of equal phis
     best, kept_objective, kept_violation, kept_phi = [], [], [], []
@@ -368,7 +365,7 @@ def learning_attempt(cohort: Cohort, problem: ProblemDefinition,
         kept_violation.append(violation[i])
         kept_phi.append(low)
     return Cohort(points.take(best, axis=0), kept_objective, kept_violation,
-                  kept_phi, lo, width)
+                  kept_phi, width)
 
 
 def run_saturated(cohort: Cohort, trace: Trace,

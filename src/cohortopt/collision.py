@@ -13,7 +13,6 @@ reduction factor exists anywhere in this engine. The run loop is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 from .cohort import (
     Cohort,
     RunResult,
-    rank_order,
+    check_run_limits,
     run_cohort,
     selection_probabilities,
 )
@@ -52,33 +51,22 @@ class CboConfig:
     def __post_init__(self):
         if self.cohort_size < 2 or self.cohort_size % 2 != 0:
             raise ValueError("cohort_size must be an even integer >= 2")
-        if self.max_learning_attempts < 1 or self.max_function_evaluations < 1:
-            raise ValueError("budgets must be positive")
-        if self.max_function_evaluations < self.cohort_size:
-            raise ValueError(
-                f"max_function_evaluations ({self.max_function_evaluations}) cannot pay "
-                f"for the first cohort of cohort_size ({self.cohort_size}) evaluations")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.saturation_window < 2:
-            raise ValueError("saturation_window must be at least 2")
-        # false for NaN too, which would never let a run saturate
-        if not 0.0 <= self.saturation_tolerance < math.inf:
-            raise ValueError("saturation_tolerance must be finite and non-negative")
+        check_run_limits(self)
 
 
 def assign_roles(cohort: Cohort) -> list[int]:
     """Rank the cohort and split it by rank: better half stationary.
 
-    Returns the cohort indices in ascending incumbent order (stable, so
-    ties keep index order). The first C/2 ranks are the stationary
-    bodies, the rest the moving ones; the moving body at rank C/2 + k
-    pairs with the stationary body at rank k.
+    Returns the cohort indices sorted ascending under
+    :func:`cohort.incumbent_key` (stable, so ties keep index order). The
+    first C/2 ranks are the stationary bodies, the rest the moving ones;
+    the moving body at rank C/2 + k pairs with the stationary body at
+    rank k.
     """
-    n = len(cohort.phi)
-    if n < 2 or n % 2 != 0:
+    keys = cohort.keys
+    if len(keys) < 2 or len(keys) % 2 != 0:
         raise ValueError("cohort size must be even and >= 2")
-    return rank_order(cohort)
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def velocity_after_moving(m_mov, m_stat, velocity: Vector, eps: float) -> Vector:
@@ -184,8 +172,7 @@ def collision_attempt(cohort: Cohort, problem: ProblemDefinition,
     points = update_positions(ranked, velocities, problem, rng)
     objective, violation = evaluate_rows(problem, points, counter)
     return Cohort(points, objective, violation,
-                  score_phis(objective, violation, cfg.penalty),
-                  cohort.interval_lower, cohort.interval_width)
+                  score_phis(objective, violation, cfg.penalty), cohort.interval_width)
 
 
 def ci_sapf_cbo_run(problem: ProblemDefinition, cfg: CboConfig) -> RunResult:

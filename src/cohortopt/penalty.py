@@ -72,70 +72,34 @@ class PseudoObjective:
     branch_used: Branch
 
 
-def select_branch(f: float, cfg: PenaltyConfig) -> Branch:
-    """Pick the penalty regime for an objective value.
+def score(f: float, violation: float, cfg: PenaltyConfig) -> PseudoObjective:
+    """Branch, penalty and pseudo-objective of one candidate, recomputed
+    from its current objective on every call; nothing is cached.
 
-    Total and deterministic on finite-or-infinite reals; NaN is rejected.
+    Penalties, all non-negative: standard f * V, negative |f| * V,
+    near-zero (f + int_offset) * V (phi adds it to the raw f), infinity
+    guard infinity_substitute * V (phi substitutes the stand-in for f, so
+    the computation continues on finite numbers). A NaN f and a negative
+    V are rejected.
     """
     if math.isnan(f):
         raise ValueError("objective value is NaN; cannot select a penalty branch")
-    if math.isinf(f):
-        return Branch.INFINITY_GUARD
-    if f < 0.0:
-        return Branch.NEGATIVE
-    if f < cfg.near_zero_threshold:
-        return Branch.NEAR_ZERO
-    return Branch.STANDARD
-
-
-def sapf_penalty(f: float, violation: float, branch: Branch,
-                 cfg: PenaltyConfig) -> float:
-    """Penalty term for the given branch; non-negative in all of them.
-
-    standard: f * V, negative: |f| * V, near-zero: (f + int_offset) * V,
-    infinity guard: infinity_substitute * V.
-    """
     if violation < 0.0:
         raise ValueError("violation must be non-negative")
-    if branch is Branch.STANDARD:
-        return f * violation
-    if branch is Branch.NEGATIVE:
-        return abs(f) * violation
-    if branch is Branch.NEAR_ZERO:
-        return (f + cfg.int_offset) * violation
-    return cfg.infinity_substitute * violation
-
-
-def pseudo_objective(f: float, penalty: float, branch: Branch,
-                     cfg: PenaltyConfig) -> PseudoObjective:
-    """Combine objective and penalty into the value the cohort minimizes.
-
-    The near-zero branch adds the penalty to the raw objective (the
-    int_offset enters the penalty product only). The infinity guard
-    substitutes the configured stand-in for f so the computation can
-    continue on finite numbers.
-    """
-    if branch is Branch.NEGATIVE:
+    if math.isinf(f):
+        penalty = cfg.infinity_substitute * violation
+        return PseudoObjective(cfg.infinity_substitute + penalty, penalty,
+                               Branch.INFINITY_GUARD)
+    if f < 0.0:
+        penalty = abs(f) * violation
         if cfg.negative_mode is NegativeMode.LITERAL:
-            phi = abs(-f + penalty)
-        else:
-            phi = f + penalty
-    elif branch is Branch.INFINITY_GUARD:
-        phi = cfg.infinity_substitute + penalty
-    else:
-        phi = f + penalty
-    return PseudoObjective(phi=phi, penalty=penalty, branch_used=branch)
-
-
-def score(f: float, violation: float, cfg: PenaltyConfig) -> PseudoObjective:
-    """Branch selection, penalty and pseudo-objective in one step.
-
-    Recomputed from the candidate's current objective on every call;
-    nothing is cached across learning attempts.
-    """
-    branch = select_branch(f, cfg)
-    penalty = sapf_penalty(f, violation, branch, cfg)
-    return pseudo_objective(f, penalty, branch, cfg)
+            return PseudoObjective(abs(-f + penalty), penalty, Branch.NEGATIVE)
+        return PseudoObjective(f + penalty, penalty, Branch.NEGATIVE)
+    if f < cfg.near_zero_threshold:
+        penalty = (f + cfg.int_offset) * violation
+        return PseudoObjective(f + penalty, penalty, Branch.NEAR_ZERO)
+    penalty = f * violation
+    return PseudoObjective(f + penalty, penalty, Branch.STANDARD)
 
 
 def score_phis(objective: Sequence[float], violation: Sequence[float],

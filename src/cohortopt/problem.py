@@ -137,8 +137,11 @@ class ProblemDefinition:
             raise ValueError("bounds length must equal dimension")
         if len(self.kinds) != self.dimension:
             raise ValueError("kinds length must equal dimension")
-        if self.equality_tolerance <= 0.0:
-            raise ValueError("equality_tolerance must be positive")
+        # an inf or NaN eps would drop every equality term unseen: the NaN
+        # screen reads f, g and h, not |h| - eps
+        if not 0.0 < self.equality_tolerance < math.inf:
+            raise ValueError(f"equality_tolerance must be finite and positive, "
+                             f"got {self.equality_tolerance!r}")
         for i, kind in enumerate(self.kinds):
             if kind is VarKind.INTEGER:
                 lo = self.bounds.lower[i]

@@ -400,7 +400,8 @@ def load_descriptor_file(path: str | Path) -> list[dict]:
             if key not in entry:
                 raise ValueError(f"{path}: entry {k} is missing {key!r}")
         bounds = entry["bounds"]
-        if not (isinstance(bounds, dict) and "lower" in bounds and "upper" in bounds):
+        if not (isinstance(bounds, dict) and isinstance(bounds.get("lower"), list)
+                and isinstance(bounds.get("upper"), list)):
             raise ValueError(f"{path}: entry {k} bounds need lower and upper arrays")
         if len(bounds["lower"]) != entry["dimension"] \
                 or len(bounds["upper"]) != entry["dimension"]:

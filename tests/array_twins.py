@@ -106,11 +106,10 @@ def collision_state(ranked_positions: np.ndarray, ranked_masses: np.ndarray,
     return after
 
 
-def learning_attempt(positions, interval_lower, interval_width, phi, problem, cfg,
-                     rng, counter):
+def learning_attempt(positions, interval_width, phi, problem, cfg, rng, counter):
     """One ci-sapf learning attempt on arrays, adopting each candidate's
     ``argmin`` variation; returns positions, objective, violation, phi and
-    the new intervals' lower ends and widths."""
+    the new intervals' widths."""
     c, dim = positions.shape
     t = cfg.variations_per_attempt
     draws = rng.random((c, 1 + t * dim))
@@ -125,4 +124,4 @@ def learning_attempt(positions, interval_lower, interval_width, phi, problem, cf
     objective, violation = (np.array(a) for a in evaluate_rows(problem, points, counter))
     new_phi = phi_values(objective, violation, cfg.penalty)
     best = np.arange(0, c * t, t) + new_phi.reshape(c, t).argmin(axis=1)
-    return points[best], objective[best], violation[best], new_phi[best], lo, hi - lo
+    return points[best], objective[best], violation[best], new_phi[best], hi - lo

@@ -30,7 +30,7 @@ from cohortopt import (
     suite,
 )
 from cohortopt.problem import EvalCounter, make_rng
-from cohortopt.penalty import Branch, sapf_penalty
+from cohortopt.penalty import Branch, score
 from cohortopt.cohort import (
     initialize_cohort,
     learning_attempt,
@@ -194,8 +194,9 @@ class TestA8Properties:
         for branch, draw in samples.items():
             for _ in range(per_branch):
                 f = draw()
-                assert sapf_penalty(f, 0.0, branch, cfg) == 0.0
-                assert sapf_penalty(f, rng.uniform(1e-9, 1e3), branch, cfg) > 0.0
+                assert score(f, 0.0, cfg).penalty == 0.0
+                out = score(f, rng.uniform(1e-9, 1e3), cfg)
+                assert out.branch_used is branch and out.penalty > 0.0
         verdict("A8[penalty-zero]", True,
                 "penalty == 0 iff violation == 0 in every branch "
                 f"({per_branch} cases per branch)")

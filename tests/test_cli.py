@@ -42,6 +42,19 @@ class TestList:
         ext = [r for r in records if r["id"] == "EXT9"]
         assert ext and ext[0]["runnable"] is False
 
+    @pytest.mark.parametrize("bounds", [{"lower": 0, "upper": 1}, {"lower": [0], "upper": 1},
+                                        {"lower": "0", "upper": "1"}],
+                             ids=["scalars", "scalar-upper", "strings"])
+    def test_descriptor_bounds_must_be_arrays(self, capsys, tmp_path, bounds):
+        # scalars escaped main as "TypeError: object of type 'int' has no
+        # len()", and one-character strings were listed as bounds
+        desc = tmp_path / "extra.json"
+        desc.write_text(json.dumps([{"id": "EXT9", "name": "n", "dimension": 1,
+                                     "bounds": bounds}]))
+        code, out, err = run_cli(capsys, "list", "--descriptors", str(desc))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "entry 0 bounds" in err
+
 
 class TestRun:
     def test_writes_reports(self, capsys, tmp_path):

@@ -23,7 +23,7 @@ def feasible_cohort(phis):
     phi = [float(p) for p in phis]
     positions = np.zeros((len(phi), 1))
     return Cohort(positions, list(phi), [0.0] * len(phi), phi,
-                  interval_lower=positions.copy(), interval_width=np.zeros_like(positions))
+                  interval_width=np.zeros_like(positions))
 
 
 class TestAssignRoles:

@@ -3,7 +3,7 @@
 Each step must give, element by element and bit for bit (signed zeros
 included), what its reference gives: ``score_phis`` vs ``score`` and the
 array ``phi_values``; ``selection_probabilities``, ``roulette_picks``,
-``rank_order``, ``collision_state`` and ``learning_attempt`` vs their
+``assign_roles``, ``collision_state`` and ``learning_attempt`` vs their
 numpy twins in ``array_twins.py`` (and ``roulette_select``);
 ``pairwise_sum`` vs ``np.add.reduce``; ``evaluate_rows`` vs the raw
 callables' sums ``array_twins.evaluation`` (and ``evaluate``); array
@@ -43,7 +43,6 @@ from cohortopt.cohort import (
     learning_attempt,
     offer,
     pairwise_sum,
-    rank_order,
     roulette_picks,
     roulette_select,
     selection_probabilities,
@@ -184,7 +183,7 @@ def cohort_of(objective, violation, phi):
     n = len(phi)
     positions = np.arange(float(n))[:, None]
     return Cohort(positions, list(objective), list(violation), list(phi),
-                  interval_lower=positions, interval_width=np.zeros_like(positions))
+                  interval_width=np.zeros_like(positions))
 
 
 tie_values = st.sampled_from([0.0, -0.0, INF, -INF, 1.0, -1.0, 2.0])
@@ -193,18 +192,18 @@ tie_values = st.sampled_from([0.0, -0.0, INF, -INF, 1.0, -1.0, 2.0])
 class TestRankOrder:
     @settings(max_examples=300)
     @given(st.lists(st.tuples(tie_values, st.sampled_from([0.0, 1.0, 2.0, INF]),
-                              tie_values), min_size=1, max_size=40))
+                              tie_values), min_size=2, max_size=40))
     def test_equals_lexsort_on_ties(self, rows):
+        # assign_roles ranks even cohorts only
+        rows = rows[:len(rows) - len(rows) % 2]
         objective, violation, phi = (list(col) for col in zip(*rows))
         cohort = cohort_of(objective, violation, phi)
         expected = array_twins.rank_order(objective, violation, phi).tolist()
-        assert rank_order(cohort) == expected
+        assert assign_roles(cohort) == expected
         best = offer(None, cohort)
         assert best.position.tolist() == [float(expected[0])]
         assert bits([best.objective, best.violation, best.phi]) == bits(
             [objective[expected[0]], violation[expected[0]], phi[expected[0]]])
-        if len(rows) % 2 == 0:
-            assert assign_roles(cohort) == expected
 
 
 class TestCollisionState:
@@ -238,10 +237,9 @@ class TestLearningAttempt:
         cohort = initialize_cohort(problem, cfg, make_rng(seed), EvalCounter())
         new = learning_attempt(cohort, problem, cfg, make_rng(seed + 1), EvalCounter())
         twin = array_twins.learning_attempt(
-            cohort.positions, cohort.interval_lower, cohort.interval_width,
+            cohort.positions, cohort.interval_width,
             np.array(cohort.phi), problem, cfg, make_rng(seed + 1), EvalCounter())
-        ours = (new.positions, new.objective, new.violation, new.phi,
-                new.interval_lower, new.interval_width)
+        ours = (new.positions, new.objective, new.violation, new.phi, new.interval_width)
         for mine, theirs in zip(ours, twin):
             assert bits(mine) == bits(theirs)
 

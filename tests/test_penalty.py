@@ -4,74 +4,79 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from cohortopt import NegativeMode, PenaltyConfig
-from cohortopt.penalty import (
-    Branch,
-    pseudo_objective,
-    sapf_penalty,
-    score,
-    select_branch,
-)
+from cohortopt.penalty import Branch, score
 
 CFG = PenaltyConfig()
 
 
+def branch_of(f):
+    return score(f, 0.0, CFG).branch_used
+
+
+def scored(f, violation, branch, cfg=CFG):
+    """``score`` of a point that must take ``branch``."""
+    out = score(f, violation, cfg)
+    assert out.branch_used is branch
+    return out
+
+
 class TestSelectBranch:
     def test_positive_above_threshold(self):
-        assert select_branch(10.0, CFG) is Branch.STANDARD
+        assert branch_of(10.0) is Branch.STANDARD
 
     def test_negative(self):
-        assert select_branch(-4.0, CFG) is Branch.NEGATIVE
+        assert branch_of(-4.0) is Branch.NEGATIVE
 
     def test_tiny_positive(self):
-        assert select_branch(1e-13, CFG) is Branch.NEAR_ZERO
+        assert branch_of(1e-13) is Branch.NEAR_ZERO
 
     def test_zero(self):
-        assert select_branch(0.0, CFG) is Branch.NEAR_ZERO
+        assert branch_of(0.0) is Branch.NEAR_ZERO
 
     def test_infinities(self):
-        assert select_branch(float("inf"), CFG) is Branch.INFINITY_GUARD
-        assert select_branch(float("-inf"), CFG) is Branch.INFINITY_GUARD
+        assert branch_of(float("inf")) is Branch.INFINITY_GUARD
+        assert branch_of(float("-inf")) is Branch.INFINITY_GUARD
 
     def test_negative_beats_near_zero(self):
         # overlapping conditions resolve by sign first
-        assert select_branch(-1e-9, CFG) is Branch.NEGATIVE
+        assert branch_of(-1e-9) is Branch.NEGATIVE
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            select_branch(float("nan"), CFG)
+            score(float("nan"), 0.0, CFG)
 
     @given(st.floats(allow_nan=False))
     def test_total_and_deterministic(self, f):
-        assert select_branch(f, CFG) is select_branch(f, CFG)
+        assert branch_of(f) is branch_of(f)
 
 
 class TestSapfPenalty:
     def test_feasible_point_gets_zero(self):
-        assert sapf_penalty(10.0, 0.0, Branch.STANDARD, CFG) == 0.0
+        assert scored(10.0, 0.0, Branch.STANDARD).penalty == 0.0
 
     def test_standard_product(self):
-        assert sapf_penalty(10.0, 0.5, Branch.STANDARD, CFG) == pytest.approx(5.0)
+        assert scored(10.0, 0.5, Branch.STANDARD).penalty == pytest.approx(5.0)
 
     def test_negative_uses_magnitude(self):
-        assert sapf_penalty(-4.0, 0.25, Branch.NEGATIVE, CFG) == pytest.approx(1.0)
+        assert scored(-4.0, 0.25, Branch.NEGATIVE).penalty == pytest.approx(1.0)
 
     def test_near_zero_offset(self):
-        assert sapf_penalty(0.0, 2.0, Branch.NEAR_ZERO, CFG) == pytest.approx(2.0)
+        assert scored(0.0, 2.0, Branch.NEAR_ZERO).penalty == pytest.approx(2.0)
 
     def test_infinity_guard_substitute(self):
-        penalty = sapf_penalty(float("inf"), 0.5, Branch.INFINITY_GUARD, CFG)
+        penalty = scored(float("inf"), 0.5, Branch.INFINITY_GUARD).penalty
         assert penalty == pytest.approx(0.5)
 
     def test_negative_violation_rejected(self):
         with pytest.raises(ValueError):
-            sapf_penalty(1.0, -0.1, Branch.STANDARD, CFG)
+            score(1.0, -0.1, CFG)
 
     @given(st.floats(1.0, 1e8), st.floats(1e-8, 1e8), st.floats(1e-8, 1e8))
     def test_strictly_increasing_in_violation(self, f, v, bump):
         # a bump of a few ulps of v or less can vanish when f * v rounds
         assume(bump >= 4 * math.ulp(v))
-        lo = sapf_penalty(f, v, Branch.STANDARD, CFG)
-        hi = sapf_penalty(f, v + bump, Branch.STANDARD, CFG)
+        lo = scored(f, v, Branch.STANDARD).penalty
+        hi = scored(f, v + bump, Branch.STANDARD).penalty
         assert hi > lo
 
     def test_depends_only_on_aggregate(self):
@@ -79,31 +84,33 @@ class TestSapfPenalty:
         for branch, f in ((Branch.STANDARD, 3.0), (Branch.NEGATIVE, -3.0),
                           (Branch.NEAR_ZERO, 0.5),
                           (Branch.INFINITY_GUARD, float("inf"))):
-            assert sapf_penalty(f, 0.7, branch, CFG) == sapf_penalty(f, 0.7, branch, CFG)
+            assert scored(f, 0.7, branch).penalty == scored(f, 0.7, branch).penalty
 
 
 class TestPseudoObjective:
     def test_feasible_phi_is_f(self):
-        out = pseudo_objective(10.0, 0.0, Branch.STANDARD, CFG)
+        out = score(10.0, 0.0, CFG)
         assert out.phi == 10.0
         assert out.branch_used is Branch.STANDARD
 
     def test_literal_negative_fold(self):
-        out = pseudo_objective(-4.0, 1.0, Branch.NEGATIVE, CFG)
+        # penalty |f| * V = 1.0
+        out = scored(-4.0, 0.25, Branch.NEGATIVE)
         assert out.phi == pytest.approx(5.0)
 
     def test_shift_negative(self):
         cfg = PenaltyConfig(negative_mode=NegativeMode.SHIFT)
-        out = pseudo_objective(-4.0, 1.0, Branch.NEGATIVE, cfg)
+        out = scored(-4.0, 0.25, Branch.NEGATIVE, cfg)
         assert out.phi == pytest.approx(-3.0)
 
     def test_near_zero_uses_raw_objective(self):
         # the offset enters the penalty product only, never phi directly
-        out = pseudo_objective(0.25, 0.0, Branch.NEAR_ZERO, CFG)
+        out = scored(0.25, 0.0, Branch.NEAR_ZERO)
         assert out.phi == 0.25
 
     def test_infinity_guard_keeps_phi_finite(self):
-        out = pseudo_objective(float("inf"), 0.5, Branch.INFINITY_GUARD, CFG)
+        # penalty infinity_substitute * V = 0.5
+        out = scored(float("inf"), 0.5, Branch.INFINITY_GUARD)
         assert math.isfinite(out.phi)
         assert out.phi == pytest.approx(1.5)
 

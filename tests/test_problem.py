@@ -116,6 +116,13 @@ class TestEqualityViolation:
         with pytest.raises(ValueError):
             violation_at(h_values=(0.1,), eps=0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_eps_must_be_finite(self, eps):
+        # either value dropped the equality: h(x) = x - 0.5 at x = 0 read
+        # violation 0.0 and feasible=True
+        with pytest.raises(ValueError, match="equality_tolerance"):
+            violation_at(h_values=(-0.5,), eps=eps)
+
     @given(st.floats(-1e6, 1e6), st.floats(1e-10, 10.0))
     def test_even_in_h(self, h, eps):
         assert violation_at(h_values=(h,), eps=eps) == violation_at(h_values=(-h,), eps=eps)

@@ -44,11 +44,20 @@ def traced_and_plain(problem, algorithm, solver):
     return tracer, plain
 
 
+RUN_SPANS = {"ci-sapf": "cohort.ci_sapf_run", "ci-sapf-cbo": "collision.ci_sapf_cbo_run"}
+
+
 def assert_spans_per_attempt(tracer, plain, step_span, initialisations=1):
-    """The engines looked up every rebound name at call time: one step,
-    saturation test and selection span per attempt, and one clip per
-    attempt and per cohort initialisation."""
+    """The engines looked up every rebound name at call time: one run span
+    for the one ``solve_once``, one step, saturation test and selection
+    span per attempt (and one role assignment and position update for
+    ci-sapf-cbo), and one clip per attempt and per cohort initialisation."""
     attempts = plain.learning_attempts
+    cbo = step_span.startswith("collision.")
+    assert tracer.calls[RUN_SPANS["ci-sapf-cbo" if cbo else "ci-sapf"]] == 1
+    assert sum(tracer.calls[span] for span in RUN_SPANS.values()) == 1
+    assert tracer.calls["collision.assign_roles"] == (attempts if cbo else 0)
+    assert tracer.calls["collision.update_positions"] == (attempts if cbo else 0)
     assert tracer.calls[step_span] == attempts
     assert tracer.calls["cohort.run_saturated"] == attempts
     assert tracer.calls["cohort.selection_probabilities"] == attempts
@@ -105,3 +114,7 @@ def test_traced_cli_suite_matches_untraced(algo, tmp_path):
     assert plain[1] == 2 + 2 * len(suite.list_problems())
     assert first.calls["cli.main"] == 1 and first.calls["bench.emit_report"] == 1
     assert dict(first.calls) == dict(second.calls)
+    # one engine run per solve_once, and one summary per problem
+    problems = len(suite.list_problems())
+    assert first.calls[RUN_SPANS[algo]] == 2 * problems
+    assert first.calls["bench.compute_statistics"] == problems
